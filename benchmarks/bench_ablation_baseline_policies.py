@@ -7,7 +7,8 @@ quantifies that choice against plain FCFS and a close-row variant.
 
 from repro.config import SchedulerConfig, baseline_scheduler
 from repro.harness.tables import format_table
-from repro.sim.system import simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.workloads import get_workload
 
 APP = "SCP"
@@ -22,7 +23,10 @@ POLICIES = {
 def run_all(scale: float):
     out = {}
     for label, scheme in POLICIES.items():
-        r = simulate(get_workload(APP, scale=scale), scheduler=scheme)
+        r = simulate_spec(
+            get_workload(APP, scale=scale),
+            SimSpec(scheduler=scheme),
+        )
         out[label] = r
     return out
 

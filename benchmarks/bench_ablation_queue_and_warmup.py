@@ -13,24 +13,32 @@ from repro.config import (
     static_dms,
 )
 from repro.harness.tables import format_table
-from repro.sim.system import simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.workloads import get_workload
 
 APP = "SCP"
 
 
 def run_matrix(scale: float) -> dict[str, object]:
-    base = simulate(get_workload(APP, scale=scale),
-                    scheduler=baseline_scheduler())
-    dms = simulate(get_workload(APP, scale=scale),
-                   scheduler=static_dms(512))
+    base = simulate_spec(
+        get_workload(APP, scale=scale),
+        SimSpec(scheduler=baseline_scheduler()),
+    )
+    dms = simulate_spec(
+        get_workload(APP, scale=scale),
+        SimSpec(scheduler=static_dms(512)),
+    )
     drops_by_warmup = {}
     for warmup in (0, 256, 2048):
         sched = SchedulerConfig(
             ams=AMSConfig(mode=AMSMode.STATIC, static_th_rbl=8,
                           coverage_limit=0.10, warmup_fills=warmup)
         )
-        r = simulate(get_workload(APP, scale=scale), scheduler=sched)
+        r = simulate_spec(
+            get_workload(APP, scale=scale),
+            SimSpec(scheduler=sched),
+        )
         with_donor = sum(
             1 for d in r.drops if d.donor_line_addr is not None
         )

@@ -8,7 +8,8 @@ last-value, zero, and an exact oracle at the same coverage.
 
 from repro.config import AMSConfig, AMSMode, SchedulerConfig, VPConfig
 from repro.harness.tables import format_table
-from repro.sim.system import simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.workloads import get_workload
 
 APP = "meanfilter"  # smooth data: predictor quality is clearly visible
@@ -26,7 +27,10 @@ def run_all(scale: float) -> dict[str, float]:
     errors = {}
     for kind in ("oracle", "nearest_line", "last_value", "zero"):
         wl = get_workload(APP, scale=scale)
-        report = simulate(wl, scheduler=scheme(kind), measure_error=True)
+        report = simulate_spec(
+            wl,
+            SimSpec(scheduler=scheme(kind), measure_error=True),
+        )
         errors[kind] = report.application_error or 0.0
     return errors
 

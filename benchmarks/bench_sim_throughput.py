@@ -173,10 +173,10 @@ def measure_tenants(*, scale: float, seed: int) -> dict:
 
 
 def _time_matrix(apps, schemes, *, scale: float, seed: int,
-                 jobs: int, threads: bool = False) -> float:
+                 jobs: int) -> float:
     """One fresh ``run_matrix`` against a prewarmed pool, in seconds."""
     runner = Runner(scale=scale, seed=seed, verbose=False,
-                    cache=None, jobs=jobs, threads=threads)
+                    cache=None, jobs=jobs)
     runner.prewarm()
     start = time.perf_counter()
     runner.run_matrix(apps, schemes)
@@ -191,8 +191,7 @@ def measure_matrix(apps, *, scale: float, seed: int,
 
     Every pooled level runs against a prewarmed
     :class:`~repro.harness.pool.WarmPool`, so the comparison is
-    steady-state dispatch cost, not worker start-up. A thread-mode run
-    at the widest level rides along (no serialization, shared GIL).
+    steady-state dispatch cost, not worker start-up.
     """
     schemes = _cell_schemes()
     levels: dict[str, dict] = {}
@@ -205,14 +204,6 @@ def measure_matrix(apps, *, scale: float, seed: int,
         if serial is not None and wall > 0:
             entry["speedup_vs_serial"] = round(serial / wall, 3)
         levels[f"jobs{n}"] = entry
-    widest = max(jobs_levels)
-    if widest > 1:
-        wall = _time_matrix(apps, schemes, scale=scale, seed=seed,
-                            jobs=widest, threads=True)
-        entry = {"wall_s": wall}
-        if serial is not None and wall > 0:
-            entry["speedup_vs_serial"] = round(serial / wall, 3)
-        levels[f"threads{widest}"] = entry
     return {"cells": len(apps) * len(schemes), "levels": levels}
 
 

@@ -18,7 +18,7 @@ import pathlib
 
 import numpy as np
 
-from repro import dyn_combo, get_workload, simulate
+from repro import SimSpec, dyn_combo, get_workload, simulate_spec
 from repro.approx.quality import psnr
 from repro.approx.replay import build_perturbed_inputs
 
@@ -41,7 +41,10 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
 
     workload = get_workload("laplacian", scale=args.scale)
-    report = simulate(workload, scheduler=dyn_combo(), measure_error=True)
+    report = simulate_spec(
+        workload,
+        SimSpec(scheduler=dyn_combo(), measure_error=True),
+    )
 
     exact = workload.run_exact()
     perturbed = build_perturbed_inputs(

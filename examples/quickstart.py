@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import baseline_scheduler, get_workload, simulate
+from repro import SimSpec, baseline_scheduler, get_workload, simulate_spec
 from repro.harness.schemes import evaluation_schemes
 
 
@@ -29,19 +29,21 @@ def main() -> None:
     print(f"Simulating {args.app} on the Table I GPU "
           f"(scale {args.scale})...\n")
 
-    baseline = simulate(
+    baseline = simulate_spec(
         get_workload(args.app, scale=args.scale),
-        scheduler=baseline_scheduler(),
+        SimSpec(scheduler=baseline_scheduler()),
     )
     print(baseline.summary())
     print()
 
     # The harness scheme set scales the Dyn-DMS/Dyn-AMS profiling
     # windows to trace-sized runs (see repro.harness.schemes).
-    lazy = simulate(
+    lazy = simulate_spec(
         get_workload(args.app, scale=args.scale),
-        scheduler=evaluation_schemes()["Dyn-DMS+Dyn-AMS"],
-        measure_error=True,
+        SimSpec(
+            scheduler=evaluation_schemes()["Dyn-DMS+Dyn-AMS"],
+            measure_error=True,
+        ),
     )
     print(lazy.summary())
     print()

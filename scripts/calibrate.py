@@ -24,10 +24,14 @@ from repro.workloads.registry import get_workload, list_workloads
 
 
 def run(workload, sched, measure_error=False):
-    from repro.sim.system import simulate
+    from repro.sim.spec import SimSpec
+    from repro.sim.system import simulate_spec
 
     t0 = time.time()
-    r = simulate(workload, scheduler=sched, measure_error=measure_error)
+    r = simulate_spec(
+        workload,
+        SimSpec(scheduler=sched, measure_error=measure_error),
+    )
     r.wall = time.time() - t0
     return r
 

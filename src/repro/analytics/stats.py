@@ -62,11 +62,14 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     upper = int(math.ceil(position))
     if lower == upper:
         return float(sorted_values[lower])
-    weight = position - lower
-    return (
-        sorted_values[lower] * (1.0 - weight)
-        + sorted_values[upper] * weight
-    )
+    a = float(sorted_values[lower])
+    b = float(sorted_values[upper])
+    if a == b:
+        return a
+    # ``a + (b - a) * w`` is monotone in ``w`` under rounding; the
+    # two-product form ``a*(1-w) + b*w`` is not, and can overshoot a
+    # tie, which let a narrower bootstrap interval poke out of a wider.
+    return a + (b - a) * (position - lower)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ reliability loop the ROADMAP asks for. It provides:
   tRCD/tRP ⇒ exponentially more flips — see
   :class:`~repro.config.faults.FaultConfig`), seeded from the SimSpec
   content key so identical specs produce identical flip sites across
-  serial, process-parallel, and thread-parallel runs;
+  serial, process-parallel, and service runs;
 * the **read-path state machine** (:class:`ReadPathECC`) a channel
   carries when ECC or fault injection is active: writes pay encode
   energy, served reads pay inject→decode, and AMS-dropped reads are
@@ -585,7 +585,7 @@ class FaultInjector:
     positions come from the same counter-based stream. Request ids are
     reset per simulation cell (:func:`repro.dram.request
     .reset_request_ids`), so the flip sites depend only on the spec
-    content, never on execution order, process fan-out, or threads.
+    content, never on execution order or process fan-out.
     """
 
     __slots__ = ("p_bit", "stored_bits", "_base", "_p0")

@@ -3,28 +3,14 @@
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.config.address import AddressMapping
 
 
-class _RidState(threading.local):
-    """Per-thread request-id stream.
-
-    The counter is thread-local so the warm pool's ``--threads`` mode
-    stays deterministic: each worker thread re-seeds *its own* stream at
-    the top of every cell (see ``reset_request_ids``), so concurrent
-    cells cannot interleave rids — a cell's report depends only on the
-    cell, never on what another thread simulated at the same time.
-    """
-
-    def __init__(self) -> None:
-        self.counter = itertools.count()
-
-
-_rids = _RidState()
+#: Request-id stream; :func:`reset_request_ids` restarts it per cell.
+_rids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -72,7 +58,7 @@ class MemoryRequest:
     enqueue_time: float = 0.0
     tag: Any = None
     tenant_id: int = 0
-    rid: int = field(default_factory=lambda: next(_rids.counter))
+    rid: int = field(default_factory=lambda: next(_rids))
 
     @classmethod
     def from_address(
@@ -114,10 +100,12 @@ class MemoryRequest:
 
 
 def reset_request_ids() -> None:
-    """Restart the calling thread's request id counter.
+    """Restart the request id counter.
 
     Called at the top of every simulated cell (and by tests needing
     isolation) so rids — and therefore the full report — depend only on
-    the cell itself, in any process *or thread*.
+    the cell itself. A process simulates one cell at a time, so one
+    module-wide counter suffices.
     """
-    _rids.counter = itertools.count()
+    global _rids
+    _rids = itertools.count()

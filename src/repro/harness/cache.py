@@ -1,18 +1,16 @@
 """Persistent, content-addressed simulation result cache.
 
-Every (workload, scale, seed, scheduler, GPU config, measure_error) cell
+Every (workload, scale, seed, :class:`~repro.sim.spec.SimSpec`) cell
 maps to a deterministic cache key: the SHA-256 of a canonical JSON
 rendering of *all* configuration contents plus :data:`CACHE_FORMAT_VERSION`.
 Results are stored as JSON blobs (``SimReport.to_dict``) under
 ``.repro-cache/<first-two-hex>/<key>.json``; a hit deserializes the report
 and skips simulation entirely — across processes and sessions.
 
-Invalidation is structural: changing any field of
-:class:`~repro.config.scheduler.SchedulerConfig` or
-:class:`~repro.config.gpu.GPUConfig` (including nested timing, energy,
-mapping, and L2 sub-configs), the workload scale/seed, or the cache format
-version yields a different key, so stale hits are impossible by
-construction.
+Invalidation is structural: changing any field of the spec (including
+the nested scheduler, GPU timing, energy, mapping, and L2 sub-configs),
+the workload scale/seed, or the cache format version yields a different
+key, so stale hits are impossible by construction.
 
 Controls:
 
@@ -23,17 +21,14 @@ Controls:
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.config.gpu import GPUConfig
-from repro.config.scheduler import SchedulerConfig
 from repro.sim.report import SimReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,74 +56,27 @@ _ENV_DISABLE = "REPRO_NO_CACHE"
 _ENV_DIR = "REPRO_CACHE_DIR"
 
 
-def _jsonable(value: Any) -> Any:
-    """Canonical JSON-serializable form of a config value."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    return value
-
-
-def config_fingerprint(
-    scheduler: SchedulerConfig, config: Optional[GPUConfig]
-) -> dict:
-    """Canonical dict of every field of both configuration trees."""
-    return {
-        "scheduler": _jsonable(scheduler),
-        "gpu": _jsonable(config if config is not None else GPUConfig()),
-    }
-
-
 def cache_key(
     *,
     app: str,
     scale: float,
     seed: int,
-    spec: Optional["SimSpec"] = None,
-    scheduler: Optional[SchedulerConfig] = None,
-    config: Optional[GPUConfig] = None,
-    device: Optional[str] = None,
-    measure_error: bool = False,
+    spec: "SimSpec",
     version: int = CACHE_FORMAT_VERSION,
 ) -> str:
     """Content hash identifying one simulation cell.
 
-    Preferred form: pass the full :class:`~repro.sim.spec.SimSpec` via
-    ``spec=`` — the key embeds ``spec.to_dict()`` wholesale, so every
-    spec field (present and future) is covered by construction; a field
-    omitted from ``to_dict`` is the only way to miss, and
-    ``tests/test_spec.py`` audits exactly that. The legacy keyword form
-    (``scheduler``/``config``/``device``/``measure_error``) builds the
-    equivalent spec and hashes identically.
+    The key embeds ``spec.to_dict()`` wholesale, so every spec field
+    (present and future) is covered by construction; a field omitted
+    from ``to_dict`` is the only way to miss, and ``tests/test_spec.py``
+    audits exactly that.
 
-    ``config=None`` hashes identically to the default :class:`GPUConfig`
-    (that is what the simulator instantiates for it). ``device`` is the
-    named DRAM device overlaying the config (None = config-embedded
-    timings); it is part of the key even though a named device also
+    ``spec.config=None`` hashes identically to the default
+    :class:`GPUConfig` (that is what the simulator instantiates for it).
+    ``spec.device`` is part of the key even though a named device also
     changes the resolved config, so ``--device gddr5`` and the bare
     default stay distinguishable in the cache.
     """
-    from repro.sim.spec import SimSpec
-
-    if spec is None:
-        if scheduler is None:
-            raise TypeError(
-                "cache_key requires either spec= or scheduler="
-            )
-        spec = SimSpec(
-            scheduler=scheduler,
-            device=device,
-            config=config,
-            measure_error=measure_error,
-        )
     spec_payload = spec.to_dict()
     if spec_payload.get("config") is None:
         # Preserve the documented equivalence: config=None keys the

@@ -33,6 +33,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.faults import FaultPlan, failure_manifest
 from repro.harness.runner import Runner
+from repro.sim.spec import SimSpec
 from repro.harness.schemes import (
     WINDOW_CYCLES,
     evaluation_schemes,
@@ -267,11 +268,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="simulate up to N matrix cells in parallel",
     )
     parser.add_argument(
-        "--threads", action="store_true",
-        help="fan --jobs out over worker threads instead of processes "
-        "(no serialization; best for cache-dominated sweeps)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent result cache",
     )
@@ -307,8 +303,8 @@ def _table_main(argv: list[str]) -> int:
         parser.error(str(exc))
     apps = [a.strip() for a in args.apps.split(",") if a.strip()]
     runner = Runner(
-        scale=args.scale, seed=args.seed, device=args.device,
-        verbose=not args.quiet, jobs=args.jobs, threads=args.threads,
+        scale=args.scale, seed=args.seed, spec=SimSpec(device=args.device),
+        verbose=not args.quiet, jobs=args.jobs,
         cache=None if args.no_cache else ResultCache(),
     )
     try:
@@ -356,9 +352,8 @@ def _matrix_main(argv: list[str]) -> int:
     exit_code = EXIT_OK
     for device in devices:
         runner = Runner(
-            scale=args.scale, seed=args.seed, device=device,
-            verbose=not args.quiet, jobs=args.jobs, threads=args.threads,
-            cache=cache,
+            scale=args.scale, seed=args.seed, spec=SimSpec(device=device),
+            verbose=not args.quiet, jobs=args.jobs, cache=cache,
         )
         try:
             print(
@@ -439,10 +434,6 @@ def _pareto_main(argv: list[str]) -> int:
         help="simulate up to N cells in parallel per (device, ecc) group",
     )
     parser.add_argument(
-        "--threads", action="store_true",
-        help="fan --jobs out over worker threads instead of processes",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent result cache",
     )
@@ -483,7 +474,6 @@ def _pareto_main(argv: list[str]) -> int:
             seed=args.seed,
             p_bit=args.p_bit,
             jobs=args.jobs,
-            threads=args.threads,
             cache=None if args.no_cache else ResultCache(),
             verbose=not args.quiet,
         )
@@ -799,11 +789,6 @@ def _serve_main(argv: list[str]) -> int:
         help="supervised simulator worker processes (default 2)",
     )
     parser.add_argument(
-        "--in-process", action="store_true",
-        help="run jobs on daemon threads instead of the supervised "
-        "process tier (no crash isolation; PR 5 behaviour)",
-    )
-    parser.add_argument(
         "--queue-size", type=int, default=64,
         help="bounded queue depth before 429 backpressure (default 64)",
     )
@@ -867,13 +852,8 @@ def _serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill any non-telemetry job attempt exceeding this "
-        "wall-clock bound (supervised pool)",
-    )
-    parser.add_argument(
-        "--window", type=int, default=None, metavar="CYCLES",
-        help="telemetry window for streaming jobs (default: harness "
-        "profiling window)",
+        help="kill any job attempt exceeding this wall-clock bound "
+        "(its worker respawns)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress daemon logging"
@@ -906,8 +886,6 @@ def _serve_main(argv: list[str]) -> int:
         sse_ring_events=args.sse_ring_events or DEFAULT_RING_EVENTS,
         retries=args.retries,
         cell_timeout=args.cell_timeout,
-        window_cycles=args.window or WINDOW_CYCLES,
-        process_tier=not args.in_process,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         shed_watermark=args.shed_watermark,
@@ -984,8 +962,6 @@ def _submit_main(argv: list[str]) -> int:
         definition = scheme_def(args.scheme)
     except ConfigError as exc:
         parser.error(str(exc))
-    from repro.sim.spec import SimSpec
-
     spec = SimSpec(
         scheduler=definition.build(),
         device=args.device,
@@ -1241,8 +1217,9 @@ def _tenants_main(argv: list[str]) -> int:
         parser.error(str(exc))
     scheme = scheme_def(args.scheme).build()
     runner = Runner(
-        scale=args.scale, seed=args.seed, device=args.device,
-        tenants=mix, verbose=not args.quiet, jobs=args.jobs,
+        scale=args.scale, seed=args.seed,
+        spec=SimSpec(device=args.device, tenants=mix),
+        verbose=not args.quiet, jobs=args.jobs,
         cache=None if args.no_cache else ResultCache(),
     )
     label = "+".join(t.workload for t in tenants)
@@ -1335,12 +1312,6 @@ def main(argv: list[str] | None = None) -> int:
         help="simulate up to N matrix cells in parallel worker processes",
     )
     parser.add_argument(
-        "--threads",
-        action="store_true",
-        help="fan --jobs out over worker threads instead of processes "
-        "(no serialization; best for cache-dominated sweeps)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="profile every simulated cell with cProfile and report the "
@@ -1412,10 +1383,9 @@ def main(argv: list[str] | None = None) -> int:
     runner = Runner(
         scale=args.scale,
         seed=args.seed,
-        device=args.device,
+        spec=SimSpec(device=args.device),
         verbose=not args.quiet,
         jobs=args.jobs,
-        threads=args.threads,
         profile=args.profile,
         cache=None if args.no_cache else ResultCache(),
         retries=args.retries,

@@ -7,8 +7,8 @@ holds the raw numbers for the benchmarks and EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -47,34 +47,19 @@ class ExperimentResult:
         return self.text
 
 
-def _queue_config(base: Optional[GPUConfig], size: int) -> GPUConfig:
-    import dataclasses
-
-    cfg = base or GPUConfig()
-    return dataclasses.replace(cfg, pending_queue_size=size)
-
-
-def _sub_runner(runner: Runner, config: GPUConfig) -> Runner:
-    """A runner with a different GPU config inheriting the parent's
-    parallelism, cache, and fault-tolerance layers (content keys
-    disambiguate configs). ``failures`` and ``metrics`` are shared *by
-    reference* so quarantined cells and retry counters from sub-sweeps
-    surface in the parent's manifest (and the CLI's exit code)."""
-    return Runner(
-        scale=runner.scale,
-        seed=runner.seed,
-        config=config,
-        verbose=runner.verbose,
-        jobs=runner.jobs,
-        cache=runner.cache,
-        retries=runner.retries,
-        retry_backoff=runner.retry_backoff,
-        cell_timeout=runner.cell_timeout,
-        keep_going=runner.keep_going,
-        faults=runner.faults,
-        metrics=runner.metrics,
-        failures=runner.failures,
+def _queue_runner(runner: Runner, size: int) -> Runner:
+    """The runner with a ``size``-entry pending queue: the parent's
+    whole spec (device, ECC, faults, ...) with only the GPU config's
+    queue size replaced. It inherits the parent's parallelism, cache,
+    and fault-tolerance layers (content keys disambiguate configs);
+    ``failures`` and ``metrics`` are shared *by reference* so
+    quarantined cells and retry counters from sub-sweeps surface in the
+    parent's manifest (and the CLI's exit code)."""
+    spec = runner.spec
+    config = replace(
+        spec.config or GPUConfig(), pending_queue_size=size
     )
+    return replace(runner, spec=replace(spec, config=config))
 
 
 def _prefetch(
@@ -113,7 +98,7 @@ def fig02(
     """Activations vs queue size, normalized to the 128-entry baseline."""
     acts: dict[str, dict[int, int]] = {app: {} for app in apps}
     for size in QUEUE_SIZES:
-        sub = _sub_runner(runner, _queue_config(runner.config, size))
+        sub = _queue_runner(runner, size)
         reports = sub.run_matrix(
             apps, {f"q{size}": evaluation_schemes()["Baseline"]}
         )
@@ -506,7 +491,7 @@ def fig13(
     )
     acts: dict[str, dict[int, int]] = {app: {} for app in apps}
     for size in QUEUE_SIZES:
-        sub = _sub_runner(runner, _queue_config(runner.config, size))
+        sub = _queue_runner(runner, size)
         reports = sub.run_matrix(apps, {f"DMS2048/q{size}": dms_only(2048)})
         for app in apps:
             acts[app][size] = reports[(app, f"DMS2048/q{size}")].activations

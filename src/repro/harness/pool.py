@@ -27,13 +27,11 @@ with workers that outlive individual matrices:
   timed-out cell.  The seed executor could only declare the whole pool
   broken.  Every respawn notifies ``on_rebuild`` (the runner wires this
   to the ``harness.pool_rebuilds`` metric).
-* **Thread mode** — ``threads=True`` runs the same loop in daemon
-  threads instead of processes: no serialization at all, ideal for
-  cache-dominated sweeps or small matrices where process fan-out costs
-  more than the GIL does.  Determinism holds because the request-id
-  counter is thread-local (see :mod:`repro.dram.request`).  Threads
-  cannot be preempted, so the runner falls back to processes whenever a
-  ``cell_timeout`` is armed.
+* **Window streaming** — a ``spec.telemetry`` cell streams each
+  telemetry window back as a ``("window", task, sample)`` message while
+  it simulates; a cell submitted with ``on_window`` hands them to that
+  sink, so the service can serve live SSE windows from a supervised
+  worker.
 
 The pool resolves plain :class:`concurrent.futures.Future` objects, so
 the supervising runner keeps using ``concurrent.futures.wait``.
@@ -42,7 +40,6 @@ the supervising runner keeps using ``concurrent.futures.wait``.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import threading
 import time
 import traceback
@@ -55,6 +52,9 @@ from repro.errors import WorkerCrashError
 #: A work item, exactly the tuple the seed pool entry point took:
 #: ``(cache key, CellSpec, FaultPlan | None, cell index, attempt)``.
 WorkItem = tuple
+
+#: Receives a streamed telemetry window (a ``WindowSample``).
+WindowSink = Callable[[Any], None]
 
 
 class _RemoteTraceback(Exception):
@@ -78,17 +78,19 @@ def _encode_item(item: WorkItem) -> dict:
     """Work item -> codec-shaped wire payload."""
     from repro.config import codec
 
-    key, spec, faults, index, attempt = item
+    key, cell, faults, index, attempt = item
     return {
         "key": key,
-        "cell": codec.encode(spec),
+        "cell": codec.encode(cell),
         "faults": codec.encode(faults) if faults is not None else None,
         "index": index,
         "attempt": attempt,
     }
 
 
-def _run_payload(payload: dict) -> tuple[str, dict, float]:
+def _run_payload(
+    payload: dict, on_window: WindowSink
+) -> tuple[str, dict, float]:
     """Decode and simulate one cell; returns (key, report dict, secs).
 
     Runs inside a worker process. Chaos faults fire inside
@@ -99,18 +101,19 @@ def _run_payload(payload: dict) -> tuple[str, dict, float]:
     from repro.harness import runner as runner_mod
     from repro.harness.faults import FaultPlan
 
-    spec = codec.decode(runner_mod.CellSpec, payload["cell"])
+    cell = codec.decode(runner_mod.CellSpec, payload["cell"])
     faults = (
         codec.decode(FaultPlan, payload["faults"])
         if payload["faults"] is not None
         else None
     )
     report, elapsed = runner_mod._simulate_cell(
-        spec,
+        cell,
         faults=faults,
         cell_index=payload["index"],
         attempt=payload["attempt"],
         in_worker=True,
+        on_window=on_window,
     )
     return payload["key"], report.to_dict(), elapsed
 
@@ -127,7 +130,9 @@ def _worker_main(conn) -> None:
     probes, answered with ``("pong", seq, pid)``.  A worker only reads
     the pipe between batches, so a pong certifies *idle* liveness; a
     worker busy simulating answers late, which is exactly why busy
-    workers are supervised by per-job deadlines instead.
+    workers are supervised by per-job deadlines instead.  A
+    ``spec.telemetry`` cell sends ``("window", task_id, sample dict)``
+    per telemetry window before its result.
     """
     import os as os_mod
 
@@ -148,8 +153,13 @@ def _worker_main(conn) -> None:
                 return
             continue
         for task_id, payload in msg:
+            def send_window(sample, task_id=task_id) -> None:
+                conn.send(("window", task_id, sample.to_dict()))
+
             try:
-                key, report_dict, elapsed = _run_payload(payload)
+                key, report_dict, elapsed = _run_payload(
+                    payload, send_window
+                )
             except Exception as exc:
                 tb = traceback.format_exc()
                 try:
@@ -165,37 +175,11 @@ def _worker_main(conn) -> None:
                 conn.send(("ok", task_id, key, report_dict, elapsed))
 
 
-def _thread_main(jobs: "queue_mod.SimpleQueue") -> None:
-    """Thread-mode worker body: same loop, no wire format."""
-    from repro.harness import runner as runner_mod
-
-    while True:
-        job = jobs.get()
-        if job is None:
-            return
-        future, item = job
-        key, spec, faults, index, attempt = item
-        try:
-            # ``in_worker=False``: an injected ``exit`` must degrade to
-            # an exception here — ``os._exit`` would kill the harness.
-            report, elapsed = runner_mod._simulate_cell(
-                spec,
-                faults=faults,
-                cell_index=index,
-                attempt=attempt,
-                in_worker=False,
-            )
-        except Exception as exc:
-            future.set_exception(exc)
-        else:
-            future.set_result((key, report, elapsed))
-
-
 class _ProcessWorker:
     """Parent-side handle of one worker process."""
 
     __slots__ = (
-        "conn", "proc", "inflight", "dead",
+        "conn", "proc", "inflight", "sinks", "dead",
         "spawned_at", "last_pong", "tasks_done", "crashes_seen",
     )
 
@@ -204,6 +188,8 @@ class _ProcessWorker:
         self.proc = proc
         #: task_id -> Future of every cell dispatched but unresolved.
         self.inflight: dict[int, Future] = {}
+        #: task_id -> window sink of every in-flight streaming cell.
+        self.sinks: dict[int, WindowSink] = {}
         self.dead = False
         self.spawned_at = time.time()
         #: Wall time of the last heartbeat answer (spawn counts as one).
@@ -221,53 +207,50 @@ class WarmPool:
         self,
         workers: int,
         *,
-        threads: bool = False,
         on_rebuild: Optional[Callable[[], None]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"pool needs >= 1 worker, got {workers}")
         self.size = workers
-        self.threads = threads
         self.closed = False
         self._on_rebuild = on_rebuild
         self._lock = threading.Lock()
         self._next_id = 0
-        self._rr = 0  # round-robin cursor for batch/thread dispatch
         self._ping_seq = 0
         #: Workers respawned in place over the pool's lifetime.
         self.respawns = 0
-        if threads:
-            self._queues: list[queue_mod.SimpleQueue] = []
-            self._threads: list[threading.Thread] = []
-            for _ in range(workers):
-                q: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
-                t = threading.Thread(
-                    target=_thread_main, args=(q,),
-                    name="repro-warm-thread", daemon=True,
-                )
-                t.start()
-                self._queues.append(q)
-                self._threads.append(t)
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            self._ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._workers = [self._spawn() for _ in range(workers)]
-            self._collector = threading.Thread(
-                target=self._collect_loop,
-                name="repro-warm-collector", daemon=True,
-            )
-            self._collector.start()
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self._workers = [self._spawn() for _ in range(workers)]
+        self._collector = threading.Thread(
+            target=self._collect_loop,
+            name="repro-warm-collector", daemon=True,
+        )
+        self._collector.start()
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def submit(self, item: WorkItem) -> Future:
-        """Dispatch one cell; the future resolves to (key, report, s)."""
-        return self.submit_many([item])[0]
+    def submit(
+        self, item: WorkItem, *, on_window: Optional[WindowSink] = None
+    ) -> Future:
+        """Dispatch one cell; the future resolves to (key, report, s).
 
-    def submit_many(self, items: list[WorkItem]) -> list[Future]:
+        With ``on_window`` the worker streams the cell's telemetry
+        windows back as they close; the collector thread hands each
+        decoded ``WindowSample`` to ``on_window`` before the future
+        resolves.
+        """
+        return self.submit_many([item], on_window=on_window)[0]
+
+    def submit_many(
+        self,
+        items: list[WorkItem],
+        *,
+        on_window: Optional[WindowSink] = None,
+    ) -> list[Future]:
         """Dispatch cells batched per worker, one pipe message each.
 
         Assignment is least-loaded: while the supervising runner keeps
@@ -276,8 +259,6 @@ class WarmPool:
         ``submit time + timeout`` deadline accurate and its kill
         surgical.
         """
-        if self.threads:
-            return self._submit_threads(items)
         futures: list[Future] = []
         batches: dict[int, list[tuple[int, dict]]] = {}
         with self._lock:
@@ -293,6 +274,8 @@ class WarmPool:
                     key=lambda i: (len(workers[i].inflight), i),
                 )
                 workers[target].inflight[task_id] = future
+                if on_window is not None:
+                    workers[target].sinks[task_id] = on_window
                 batches.setdefault(target, []).append(
                     (task_id, _encode_item(item))
                 )
@@ -303,18 +286,6 @@ class WarmPool:
                 worker.conn.send(batch)
             except (OSError, ValueError):
                 self._worker_died(worker)
-        return futures
-
-    def _submit_threads(self, items: list[WorkItem]) -> list[Future]:
-        futures: list[Future] = []
-        with self._lock:
-            if self.closed:
-                raise RuntimeError("warm pool is shut down")
-            for item in items:
-                future = Future()
-                self._queues[self._rr % self.size].put((future, item))
-                self._rr += 1
-                futures.append(future)
         return futures
 
     # ------------------------------------------------------------------
@@ -339,7 +310,7 @@ class WarmPool:
             pass  # cancelled or already resolved: the waiter moved on
 
     def ping(self) -> int:
-        """Send one heartbeat probe to every live worker (process mode).
+        """Send one heartbeat probe to every live worker.
 
         Returns the number of probes sent.  Answers arrive on the
         collector thread and update each worker's ``last_pong``; read
@@ -348,8 +319,6 @@ class WarmPool:
         heartbeat certifies *idle* liveness, per-job deadlines cover
         busy workers.
         """
-        if self.threads:
-            return 0
         with self._lock:
             if self.closed:
                 return 0
@@ -366,17 +335,9 @@ class WarmPool:
         return sent
 
     def worker_states(self) -> list[dict]:
-        """Introspection snapshot of every worker slot (for healthz).
-
-        Thread mode reports thread liveness only; process mode adds
-        pid, in-flight load, heartbeat age, and lifetime counters.
-        """
+        """Introspection snapshot of every worker slot (for healthz):
+        pid, in-flight load, heartbeat age, and lifetime counters."""
         now = time.time()
-        if self.threads:
-            return [
-                {"mode": "thread", "alive": t.is_alive()}
-                for t in self._threads
-            ]
         with self._lock:
             workers = list(self._workers)
         return [
@@ -403,8 +364,6 @@ class WarmPool:
         ``max_age`` seconds is wedged and gets its slot respawned.
         Returns the number of workers replaced.
         """
-        if self.threads:
-            return 0
         now = time.time()
         stale: list[_ProcessWorker] = []
         with self._lock:
@@ -431,11 +390,9 @@ class WarmPool:
         caller has already charged it a timeout.  Any other in-flight
         future on the same worker (none in timeout mode, where the
         runner keeps one cell per worker) fails with
-        :class:`WorkerCrashError`.  Returns False in thread mode, where
-        preemption is impossible.
+        :class:`WorkerCrashError`.  Returns False when no live worker
+        hosts ``future``.
         """
-        if self.threads:
-            return False
         with self._lock:
             owner = None
             for worker in self._workers:
@@ -451,6 +408,7 @@ class WarmPool:
                 f for f in owner.inflight.values() if f is not future
             ]
             owner.inflight = {}
+            owner.sinks = {}
             self._workers[self._workers.index(owner)] = self._spawn()
         self._reap(owner, terminate=True)
         for victim in victims:
@@ -472,10 +430,6 @@ class WarmPool:
             if self.closed:
                 return
             self.closed = True
-            if self.threads:
-                for q in self._queues:
-                    q.put(None)
-                return
             workers = list(self._workers)
             self._workers = []
         victims: list[Future] = []
@@ -497,7 +451,7 @@ class WarmPool:
     shutdown = close
 
     # ------------------------------------------------------------------
-    # Internals (process mode)
+    # Internals
     # ------------------------------------------------------------------
     def _spawn(self) -> _ProcessWorker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -540,6 +494,7 @@ class WarmPool:
             worker.dead = True
             victims = list(worker.inflight.values())
             worker.inflight = {}
+            worker.sinks = {}
             self._workers[self._workers.index(worker)] = self._spawn()
         self._reap(worker, terminate=True)
         for victim in victims:
@@ -575,6 +530,7 @@ class WarmPool:
 
     def _deliver(self, worker: _ProcessWorker, msg: tuple) -> None:
         from repro.sim.report import SimReport
+        from repro.telemetry.series import WindowSample
 
         kind = msg[0]
         # Any message off the pipe proves the worker alive — refresh the
@@ -583,8 +539,14 @@ class WarmPool:
         if kind == "pong":
             return
         task_id = msg[1]
+        if kind == "window":
+            sink = worker.sinks.get(task_id)
+            if sink is not None:
+                sink(WindowSample.from_dict(msg[2]))
+            return
         with self._lock:
             future = worker.inflight.pop(task_id, None)
+            worker.sinks.pop(task_id, None)
         if future is None:  # detached by kill_owner/close
             return
         worker.tasks_done += 1

@@ -4,9 +4,9 @@ survive partial failure while doing it.
 Three layers keep repeated figure reproductions cheap:
 
 1. **In-process memoization** — results are keyed by the *content* of the
-   cell (workload, scale, seed, full scheduler + GPU config,
-   measure_error), so two experiments that request the same baseline
-   under different labels share one simulation.
+   cell (workload, scale, seed, and the whole
+   :class:`~repro.sim.spec.SimSpec`), so two experiments that request
+   the same baseline under different labels share one simulation.
 2. **Persistent disk cache** (:mod:`repro.harness.cache`) — the same
    content key addresses a JSON blob under ``.repro-cache/``; a warm
    cache replays a whole matrix with zero simulations, across processes
@@ -17,12 +17,15 @@ Three layers keep repeated figure reproductions cheap:
    stack once, receive cells *batched* over the codec wire format, and
    survive across ``run_matrix`` calls (so a benchmark loop pays the
    spawn cost once — :meth:`Runner.prewarm` pays it ahead of timing).
-   ``Runner(threads=True)`` runs the same fan-out on threads instead of
-   processes — no serialization at all, useful for cache-dominated or
-   tiny matrices. Cells are deduplicated by content key before
-   dispatch, and every cell (serial or parallel) resets its thread's
-   request-id counter first, so serial, process-parallel, thread-
-   parallel, and cached runs produce field-identical reports.
+   Cells are deduplicated by content key before dispatch, and every
+   cell (serial or parallel) resets the request-id counter first, so
+   serial, parallel, and cached runs produce field-identical reports.
+
+A runner carries one base :class:`~repro.sim.spec.SimSpec`; every cell
+is that spec with the requested scheme, kept whole in a
+:class:`CellSpec` all the way into the simulating process. Derived
+runners (the Fig. 2/13 queue sweeps, tenant solo baselines) vary it
+with :func:`dataclasses.replace`, so no path can drop a field.
 
 On top of those sits the **fault-tolerance layer** (DESIGN goal: a
 single crashed or hung worker must not throw away a whole sweep):
@@ -63,18 +66,15 @@ import traceback as traceback_mod
 import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass, field
-from typing import Deque, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Deque, Iterable, Optional
 
-from repro.config.faults import FaultConfig
-from repro.config.gpu import GPUConfig
-from repro.config.scheduler import SchedulerConfig
+from repro.config.scheduler import AMSMode, SchedulerConfig
 from repro.dram.request import reset_request_ids
 from repro.errors import CellFailedError, CellTimeoutError, WorkerCrashError
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.faults import CellFailure, FaultPlan, corrupt_blob
 from repro.harness.pool import WarmPool
-from repro.config.tenants import TenantMixSpec
 from repro.sim.report import SimReport
 from repro.sim.spec import SimSpec
 from repro.sim.system import GPUSystem, simulate_spec
@@ -90,6 +90,7 @@ from repro.telemetry.hub import (
     HARNESS_WORKER_CRASHES,
     MetricsHub,
 )
+from repro.telemetry.series import WindowSample
 from repro.workloads.registry import get_workload
 
 #: Stack frames kept per cell by the ``--profile`` capture (sorted by
@@ -101,48 +102,32 @@ PROFILE_TOP_N = 30
 @dataclass(frozen=True)
 class CellSpec:
     """Everything needed to simulate one matrix cell in any process:
-    the workload coordinates plus a :class:`~repro.sim.spec.SimSpec`."""
+    the workload coordinates plus the whole
+    :class:`~repro.sim.spec.SimSpec`.
+
+    An error replay with AMS off has no drops to replay, so such a
+    spec's ``measure_error`` is cleared here — the one place that rule
+    lives — and a cell asking for the no-op replay shares the key and
+    the report of one that does not.
+    """
 
     app: str
     scale: float
     seed: int
-    config: Optional[GPUConfig]
-    scheme: SchedulerConfig
-    measure_error: bool
-    device: Optional[str] = None
-    #: Registered ECC code protecting DRAM reads.
-    ecc: str = "none"
-    #: DRAM bit-flip fault model (None = disabled).
-    faults: Optional[FaultConfig] = None
-    #: Keep per-channel activation logs on the report (service jobs may
-    #: turn this off; the CLI runner always leaves it on).
-    record_activations: bool = True
-    #: Multi-tenant mix; when set, ``app`` only labels the cell — the
-    #: simulated trace is the mix's own workload roster.
-    tenants: Optional[TenantMixSpec] = None
+    spec: SimSpec
 
-    @property
-    def sim_spec(self) -> SimSpec:
-        """The :class:`SimSpec` describing how this cell simulates."""
-        return SimSpec(
-            scheduler=self.scheme,
-            device=self.device,
-            config=self.config,
-            measure_error=self.measure_error,
-            record_activations=self.record_activations,
-            ecc=self.ecc,
-            faults=self.faults if self.faults is not None else FaultConfig(),
-            tenants=self.tenants,
-        )
+    def __post_init__(self) -> None:
+        spec = self.spec
+        if spec.measure_error and spec.scheduler.ams.mode is AMSMode.OFF:
+            object.__setattr__(
+                self, "spec", replace(spec, measure_error=False)
+            )
 
     @property
     def key(self) -> str:
         """Content-addressed cache key of this cell."""
         return cache_key(
-            app=self.app,
-            scale=self.scale,
-            seed=self.seed,
-            spec=self.sim_spec,
+            app=self.app, scale=self.scale, seed=self.seed, spec=self.spec
         )
 
     @property
@@ -157,17 +142,28 @@ class CellSpec:
             "app": self.app,
             "scale": self.scale,
             "seed": self.seed,
-            "spec": self.sim_spec.to_dict(),
+            "spec": self.spec.to_dict(),
         }
 
 
+def _workload_of(cell: CellSpec):
+    """The cell's workload: the tenant mix's roster when the spec names
+    one (``app`` then only labels the cell), else the registered app."""
+    if cell.spec.tenants is not None:
+        from repro.workloads.tenant_mix import TenantMix
+
+        return TenantMix(cell.spec.tenants, scale=cell.scale, seed=cell.seed)
+    return get_workload(cell.app, scale=cell.scale, seed=cell.seed)
+
+
 def _simulate_cell(
-    spec: CellSpec,
+    cell: CellSpec,
     *,
     faults: Optional[FaultPlan] = None,
     cell_index: Optional[int] = None,
     attempt: int = 1,
     in_worker: bool = False,
+    on_window: Optional[Callable[[WindowSample], None]] = None,
 ) -> tuple[SimReport, float]:
     """Simulate one cell from scratch; returns (report, elapsed seconds).
 
@@ -179,21 +175,15 @@ def _simulate_cell(
     When a :class:`FaultPlan` is threaded through (chaos testing), its
     crash/exit/hang faults fire here — before any simulation state is
     touched — so an injected failure is indistinguishable from a real
-    one to the supervising runner.
+    one to the supervising runner. ``on_window`` sees each telemetry
+    window of a ``spec.telemetry`` cell as it closes.
     """
     if faults is not None and cell_index is not None:
         faults.fire_pre_simulation(cell_index, attempt, in_worker=in_worker)
     reset_request_ids()
-    if spec.tenants is not None:
-        from repro.workloads.tenant_mix import TenantMix
-
-        workload = TenantMix(
-            spec.tenants, scale=spec.scale, seed=spec.seed
-        )
-    else:
-        workload = get_workload(spec.app, scale=spec.scale, seed=spec.seed)
+    workload = _workload_of(cell)
     start = time.perf_counter()
-    report = simulate_spec(workload, spec.sim_spec)
+    report = simulate_spec(workload, cell.spec, on_window=on_window)
     return report, time.perf_counter() - start
 
 
@@ -202,7 +192,7 @@ class _CellTask:
     """Mutable supervision state of one deduplicated matrix cell."""
 
     key: str
-    spec: CellSpec
+    cell: CellSpec
     label: str
     index: int
     #: Completed (failed) attempts so far; the next attempt is +1.
@@ -225,7 +215,7 @@ class _CellTask:
     def to_failure(self) -> CellFailure:
         exc = self.last_error
         return CellFailure(
-            app=self.spec.app,
+            app=self.cell.app,
             label=self.label,
             key=self.key,
             error_type=type(exc).__name__ if exc is not None else "Unknown",
@@ -274,17 +264,18 @@ class Runner:
     """Runs simulations with memoization, disk caching, parallelism, and
     supervised fault tolerance.
 
-    ``jobs`` controls matrix fan-out (1 = serial in-process; N > 1 uses a
-    persistent :class:`~repro.harness.pool.WarmPool` of N workers that
-    survives across ``run_matrix`` calls — :meth:`prewarm` spins it up
-    ahead of time). ``threads=True`` swaps the worker processes for
-    threads (no pickling/fork cost; ignored while a ``cell_timeout`` is
-    armed, because a thread cannot be killed). ``profile=True`` wraps
-    every in-process cell in :mod:`cProfile` and collects the top
-    cumulative frames into :attr:`profiles` (forces serial execution —
-    a worker process cannot be profiled from the parent).
-    ``cache=None`` disables the persistent disk layer; the default
-    honours ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``.
+    ``spec`` is the base :class:`~repro.sim.spec.SimSpec` of every
+    cell: a call supplies the scheme, and ``measure_error`` on the call
+    or on the spec turns the error replay on. ``jobs`` controls matrix
+    fan-out (1 = serial in-process; N > 1 uses a persistent
+    :class:`~repro.harness.pool.WarmPool` of N workers that survives
+    across ``run_matrix`` calls — :meth:`prewarm` spins it up ahead of
+    time). ``profile=True`` wraps every in-process cell in
+    :mod:`cProfile` and collects the top cumulative frames into
+    :attr:`profiles` (forces serial execution — a worker process cannot
+    be profiled from the parent). ``cache=None`` disables the
+    persistent disk layer; the default honours
+    ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``.
 
     Fault-tolerance knobs (see the module docstring):
 
@@ -296,24 +287,18 @@ class Runner:
     * ``keep_going`` — return partial :class:`MatrixResult` instead of
       raising :class:`~repro.errors.CellFailedError`;
     * ``faults`` — chaos plan (defaults to ``$REPRO_CHAOS``).
+
+    A derived runner is ``dataclasses.replace(runner, spec=...)``: it
+    shares the cache, chaos plan, metrics, failure manifest and profile
+    list, and starts with its own memo, pool and simulation count.
     """
 
     scale: float = 1.0
     seed: int = 7
-    config: Optional[GPUConfig] = None
-    #: Named DRAM device overlaying ``config`` (None = config-embedded).
-    device: Optional[str] = None
-    #: Registered ECC code protecting DRAM reads in every cell.
-    ecc: str = "none"
-    #: DRAM bit-flip fault model for every cell (None = disabled).
-    #: Distinct from :attr:`faults`, which is the harness *chaos* plan.
-    fault_model: Optional[FaultConfig] = None
-    #: Multi-tenant mix applied to every cell (None = single-workload).
-    tenants: Optional[TenantMixSpec] = None
+    #: Base spec of every cell (scheme and error replay come per call).
+    spec: SimSpec = field(default_factory=SimSpec)
     verbose: bool = True
     jobs: int = 1
-    #: Use worker threads instead of processes for matrix fan-out.
-    threads: bool = False
     #: Capture a cProfile per simulated cell (serial runs only).
     profile: bool = False
     cache: Optional[ResultCache] = field(default_factory=ResultCache)
@@ -323,31 +308,31 @@ class Runner:
     keep_going: bool = False
     faults: Optional[FaultPlan] = field(default_factory=FaultPlan.from_env)
     metrics: MetricsHub = field(default_factory=MetricsHub)
-    #: Cells simulated (not served from memo/disk) over this runner's life.
-    simulations_run: int = 0
     #: Every quarantined cell over this runner's life (the manifest the
-    #: CLI serializes). Sub-runners share the parent's list.
+    #: CLI serializes). Derived runners share the parent's list.
     failures: list[CellFailure] = field(default_factory=list)
     #: ``--profile`` captures: {"app", "label", "stats"} per cell.
     profiles: list[dict] = field(default_factory=list)
-    _memo: dict[str, SimReport] = field(default_factory=dict)
-    _pool: Optional[WarmPool] = field(default=None, repr=False)
+    #: Cells simulated (not served from memo/disk) over this runner's life.
+    simulations_run: int = field(default=0, init=False)
+    _memo: dict[str, SimReport] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _pool: Optional[WarmPool] = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------
-    def _spec(
+    def _cell(
         self, app: str, scheme: SchedulerConfig, measure_error: bool
     ) -> CellSpec:
         return CellSpec(
-            app=app,
-            scale=self.scale,
-            seed=self.seed,
-            config=self.config,
-            scheme=scheme,
-            measure_error=measure_error,
-            device=self.device,
-            ecc=self.ecc,
-            faults=self.fault_model,
-            tenants=self.tenants,
+            app,
+            self.scale,
+            self.seed,
+            replace(
+                self.spec,
+                scheduler=scheme,
+                measure_error=measure_error or self.spec.measure_error,
+            ),
         )
 
     def _log(self, app: str, label: str, detail: str) -> None:
@@ -358,22 +343,17 @@ class Runner:
     # Warm worker pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_pool(self, workers: int) -> WarmPool:
-        """The persistent pool, (re)built only when it must grow or
-        change mode — a larger pool than requested is reused as-is,
-        since idle warm workers are cheaper than a rebuild."""
-        threads = self.threads and self.cell_timeout is None
+        """The persistent pool, (re)built only when it must grow — a
+        larger pool than requested is reused as-is, since idle warm
+        workers are cheaper than a rebuild."""
         pool = self._pool
-        if pool is not None and (
-            pool.closed or pool.size < workers or pool.threads != threads
-        ):
+        if pool is not None and (pool.closed or pool.size < workers):
             pool.shutdown()
             pool = None
         if pool is None:
             inc = self.metrics.inc
             pool = WarmPool(
-                workers,
-                threads=threads,
-                on_rebuild=lambda: inc(HARNESS_POOL_REBUILDS),
+                workers, on_rebuild=lambda: inc(HARNESS_POOL_REBUILDS)
             )
             self._pool = pool
             # The pool outlives individual matrices by design; tie its
@@ -399,7 +379,7 @@ class Runner:
     # ------------------------------------------------------------------
     def _simulate_inline(
         self,
-        spec: CellSpec,
+        cell: CellSpec,
         label: str,
         *,
         faults: Optional[FaultPlan] = None,
@@ -409,13 +389,13 @@ class Runner:
         """In-process simulation, optionally under the profiler."""
         if not self.profile:
             return _simulate_cell(
-                spec, faults=faults, cell_index=cell_index, attempt=attempt
+                cell, faults=faults, cell_index=cell_index, attempt=attempt
             )
         profiler = cProfile.Profile()
         profiler.enable()
         try:
             return _simulate_cell(
-                spec, faults=faults, cell_index=cell_index, attempt=attempt
+                cell, faults=faults, cell_index=cell_index, attempt=attempt
             )
         finally:
             profiler.disable()
@@ -423,12 +403,12 @@ class Runner:
             stats = pstats.Stats(profiler, stream=buffer)
             stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
             self.profiles.append(
-                {"app": spec.app, "label": label,
+                {"app": cell.app, "label": label,
                  "stats": buffer.getvalue()}
             )
 
     def _finish(
-        self, key: str, spec: CellSpec, label: str,
+        self, key: str, cell: CellSpec, label: str,
         report: SimReport, elapsed: float,
         chaos_index: Optional[int] = None,
     ) -> SimReport:
@@ -436,13 +416,13 @@ class Runner:
         self.simulations_run += 1
         self.metrics.inc(HARNESS_SIMULATED)
         self._log(
-            spec.app, label,
+            cell.app, label,
             f"{elapsed:.1f}s, acts={report.activations}, "
             f"ipc={report.ipc:.2f}",
         )
         self._memo[key] = report
         if self.cache is not None:
-            path = self.cache.store(key, report, meta=spec.cache_meta)
+            path = self.cache.store(key, report, meta=cell.cache_meta)
             if (
                 path is not None
                 and self.faults is not None
@@ -451,7 +431,7 @@ class Runner:
             ):
                 corrupt_blob(path)
                 self.metrics.inc(HARNESS_CHAOS_CORRUPTED)
-                self._log(spec.app, label, "chaos: corrupted cache blob")
+                self._log(cell.app, label, "chaos: corrupted cache blob")
         return report
 
     # ------------------------------------------------------------------
@@ -465,8 +445,8 @@ class Runner:
     ) -> SimReport:
         """Simulate one (app, scheme) cell, using every cache layer."""
         label = label or scheme.name
-        spec = self._spec(app, scheme, measure_error)
-        key = spec.key
+        cell = self._cell(app, scheme, measure_error)
+        key = cell.key
         report = self._memo.get(key)
         if report is not None:
             return report
@@ -476,8 +456,8 @@ class Runner:
                 self._log(app, label, "disk cache hit")
                 self._memo[key] = report
                 return report
-        report, elapsed = self._simulate_inline(spec, label)
-        return self._finish(key, spec, label, report, elapsed)
+        report, elapsed = self._simulate_inline(cell, label)
+        return self._finish(key, cell, label, report, elapsed)
 
     # ------------------------------------------------------------------
     def run_traced(
@@ -499,28 +479,12 @@ class Runner:
         report itself is still deterministic and field-identical (minus
         ``timeline``) to an untraced run of the same cell.
         """
+        cell = self._cell(app, scheme, False)
         reset_request_ids()
-        if self.tenants is not None:
-            from repro.workloads.tenant_mix import TenantMix
-
-            workload = TenantMix(
-                self.tenants, scale=self.scale, seed=self.seed
-            )
-        else:
-            workload = get_workload(app, scale=self.scale, seed=self.seed)
+        workload = _workload_of(cell)
         hub = MetricsHub(window_cycles=window_cycles)
         system = GPUSystem.from_spec(
-            SimSpec(
-                scheduler=scheme, device=self.device, config=self.config,
-                ecc=self.ecc,
-                faults=(
-                    self.fault_model if self.fault_model is not None
-                    else FaultConfig()
-                ),
-                tenants=self.tenants,
-            ),
-            log_commands=log_commands,
-            telemetry=hub,
+            cell.spec, log_commands=log_commands, telemetry=hub
         )
         start = time.perf_counter()
         report = system.run(
@@ -569,28 +533,27 @@ class Runner:
         specs: dict[str, tuple[CellSpec, str]] = {}
         for app in apps:
             for label, scheme in schemes.items():
-                error = measure_error and scheme.ams.mode.value != "off"
-                spec = self._spec(app, scheme, error)
-                key = spec.key
+                cell = self._cell(app, scheme, measure_error)
+                key = cell.key
                 cells[(app, label)] = key
                 # First label wins for logging; the report is identical.
-                specs.setdefault(key, (spec, label))
+                specs.setdefault(key, (cell, label))
         todo: dict[str, tuple[CellSpec, str]] = {}
-        for key, (spec, label) in specs.items():
+        for key, (cell, label) in specs.items():
             if key in self._memo:
                 continue
             if self.cache is not None:
                 cached = self.cache.load(key)
                 if cached is not None:
-                    self._log(spec.app, label, "disk cache hit")
+                    self._log(cell.app, label, "disk cache hit")
                     self._memo[key] = cached
                     continue
-            todo[key] = (spec, label)
+            todo[key] = (cell, label)
         failures: list[CellFailure] = []
         if todo:
             tasks = [
-                _CellTask(key=key, spec=spec, label=label, index=i)
-                for i, (key, (spec, label)) in enumerate(todo.items())
+                _CellTask(key=key, cell=cell, label=label, index=i)
+                for i, (key, (cell, label)) in enumerate(todo.items())
             ]
             use_pool = (
                 not self.profile  # workers cannot be profiled from here
@@ -649,13 +612,13 @@ class Runner:
             failures.append(failure)
             self.metrics.inc(HARNESS_QUARANTINED)
             self._log(
-                task.spec.app, task.label,
+                task.cell.app, task.label,
                 f"quarantined: {failure.error_type}: {failure.message}",
             )
             return False
         self.metrics.inc(HARNESS_RETRIES)
         self._log(
-            task.spec.app, task.label,
+            task.cell.app, task.label,
             f"attempt {task.attempts} failed ({type(exc).__name__}: {exc}); "
             f"retrying in {self._backoff_delay(task):.2f}s",
         )
@@ -669,7 +632,7 @@ class Runner:
                 start = time.perf_counter()
                 try:
                     report, elapsed = self._simulate_inline(
-                        task.spec,
+                        task.cell,
                         task.label,
                         faults=self.faults,
                         cell_index=task.index,
@@ -684,7 +647,7 @@ class Runner:
                     time.sleep(self._backoff_delay(task))
                 else:
                     self._finish(
-                        task.key, task.spec, task.label, report, elapsed,
+                        task.key, task.cell, task.label, report, elapsed,
                         chaos_index=task.index,
                     )
                     break
@@ -741,7 +704,7 @@ class Runner:
                 return
             futures = pool.submit_many([
                 (
-                    task.key, task.spec, self.faults,
+                    task.key, task.cell, self.faults,
                     task.index, task.attempts + 1,
                 )
                 for task in batch
@@ -798,7 +761,7 @@ class Runner:
                     fail_attempt(task, exc, now - submitted)
                 else:
                     self._finish(
-                        key, task.spec, task.label, report, elapsed,
+                        key, task.cell, task.label, report, elapsed,
                         chaos_index=task.index,
                     )
             if not done:
@@ -816,7 +779,7 @@ class Runner:
                     fail_attempt(
                         task,
                         CellTimeoutError(
-                            f"{task.spec.app}/{task.label} exceeded "
+                            f"{task.cell.app}/{task.label} exceeded "
                             f"the {self.cell_timeout:.1f}s per-cell "
                             "wall-clock timeout"
                         ),

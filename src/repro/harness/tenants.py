@@ -58,26 +58,21 @@ def solo_baseline(
 ) -> SimReport:
     """Simulate (or cache-load) one tenant's solo run.
 
-    The effective scale and seed reproduce exactly how
-    :class:`~repro.workloads.tenant_mix.TenantMix` constructed the
-    member inside the shared run (``runner.scale * tenant.scale``,
-    tenant seed falling back to the runner's), and the scheme carries
-    the tenant's class exemptions (:func:`scheme_for_tenant`), so the
-    baseline replays the very same warp stream under the very same
-    per-request policy — just without neighbours.
+    The solo runner is the shared run's runner minus the mix: the same
+    spec with ``tenants=None``. The effective scale and seed reproduce
+    exactly how :class:`~repro.workloads.tenant_mix.TenantMix`
+    constructed the member inside the shared run (``runner.scale *
+    tenant.scale``, tenant seed falling back to the runner's), and the
+    scheme carries the tenant's class exemptions
+    (:func:`scheme_for_tenant`), so the baseline replays the very same
+    warp stream under the very same per-request policy — just without
+    neighbours.
     """
-    from repro.harness.runner import Runner
-
-    sub = Runner(
+    sub = replace(
+        runner,
         scale=runner.scale * tenant.scale,
         seed=tenant.seed if tenant.seed is not None else runner.seed,
-        config=runner.config,
-        device=runner.device,
-        ecc=runner.ecc,
-        fault_model=runner.fault_model,
-        verbose=runner.verbose,
-        cache=runner.cache,
-        metrics=runner.metrics,
+        spec=replace(runner.spec, tenants=None),
     )
     return sub.run(
         tenant.workload,

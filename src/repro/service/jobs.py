@@ -23,7 +23,6 @@ replay in milliseconds even after thousands of jobs.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import os
@@ -34,12 +33,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ConfigError, JobStateError
-from repro.harness.cache import cache_key
+from repro.harness.runner import CellSpec
 from repro.sim.spec import SimSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.report import SimReport
-    from repro.telemetry.hub import MetricsHub
     from repro.telemetry.series import WindowSample
 
 
@@ -81,22 +79,11 @@ def new_job_id() -> str:
 def job_content_key(
     app: str, scale: float, seed: int, spec: SimSpec
 ) -> str:
-    """The cache content key identifying a job's simulation cell.
-
-    Matches :class:`~repro.harness.runner.CellSpec.key` exactly —
-    including the runner's normalisation of ``measure_error`` (a replay
-    with AMS off is a no-op, so the runner strips the flag and the key
-    must agree or coalescing/cache admission would miss).
-    """
-    effective_error = (
-        spec.measure_error and spec.scheduler.ams.mode.value != "off"
-    )
-    return cache_key(
-        app=app,
-        scale=scale,
-        seed=seed,
-        spec=dataclasses.replace(spec, measure_error=effective_error),
-    )
+    """The cache content key identifying a job's simulation cell — the
+    key of the very :class:`~repro.harness.runner.CellSpec` the worker
+    tier simulates, so coalescing and cache admission look exactly
+    where the report is stored."""
+    return CellSpec(app, scale, seed, spec).key
 
 
 def _apply_priority_class(spec_payload: Any, priority: int) -> Any:
@@ -171,8 +158,9 @@ class Job:
     report: Optional["SimReport"] = None
     #: Concurrent identical submissions riding on this job's execution.
     followers: list["Job"] = field(default_factory=list)
-    #: Live telemetry hub of the in-flight simulation (streaming jobs).
-    live_hub: Optional["MetricsHub"] = None
+    #: Telemetry windows of the in-flight attempt, appended as the
+    #: worker streams them (``spec.telemetry`` jobs only).
+    live_windows: list["WindowSample"] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -235,6 +223,11 @@ class Job:
 
     # ------------------------------------------------------------------
     @property
+    def cell(self) -> CellSpec:
+        """The simulation cell this job runs."""
+        return CellSpec(self.app, self.scale, self.seed, self.spec)
+
+    @property
     def terminal(self) -> bool:
         """Whether the job has reached a final state."""
         return self.state in TERMINAL_STATES
@@ -258,16 +251,15 @@ class Job:
     def window_samples(self) -> list["WindowSample"]:
         """Every telemetry window observable for this job *right now*.
 
-        While the simulation is in flight this reads the live sampler
-        list the :class:`~repro.telemetry.sampler.WindowSeries` publishes
-        on its hub (appends are GIL-atomic, so a snapshot from another
-        thread is safe); after completion it reads the report timeline.
+        While the simulation is in flight this reads the windows the
+        worker tier has streamed so far (the pool's collector thread
+        appends them; appends are GIL-atomic, so a snapshot from the
+        event loop is safe); after completion it reads the report
+        timeline.
         """
         if self.report is not None and self.report.timeline is not None:
             return list(self.report.timeline.samples)
-        hub = self.live_hub
-        live = getattr(hub, "live_samples", None) if hub is not None else None
-        return list(live) if live else []
+        return list(self.live_windows)
 
     # ------------------------------------------------------------------
     def to_public_dict(self, *, include_result: bool = True) -> dict:

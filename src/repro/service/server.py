@@ -22,15 +22,15 @@ multi-tenant simulation service::
 Execution reuses the existing harness stack end to end: admission is
 cache-first against the shared :class:`~repro.harness.cache.ResultCache`,
 identical in-flight specs coalesce onto one computation
-(:mod:`repro.service.queue`), and simulations run on a **supervised
-worker tier** (:class:`~repro.service.workers.WorkerTier`): ``workers``
-persistent simulator *processes* over the PR 6
+(:mod:`repro.service.queue`), and every simulation runs on a
+**supervised worker tier** (:class:`~repro.service.workers.WorkerTier`):
+``workers`` persistent simulator *processes* over the
 :class:`~repro.harness.pool.WarmPool`, with heartbeats, per-job
 wall-clock deadlines, and in-place respawn — a crashing or hung worker
 fails only its own in-flight job and never takes the daemon down.
-Jobs whose spec asks for telemetry run in-process (executor thread)
-instead so their :class:`~repro.telemetry.sampler.WindowSeries`
-samples can be streamed over SSE *while the simulation is running*.
+Jobs whose spec asks for telemetry stream their windows back over the
+worker pipe, so SSE watchers see them *while the simulation is
+running*.
 
 Robustness layers around the tier:
 
@@ -76,12 +76,9 @@ from repro.analytics.warehouse import (
     Warehouse,
     resolve_warehouse_path,
 )
-from repro.dram.request import reset_request_ids
 from repro.errors import ConfigError, JobStateError
 from repro.harness.cache import ResultCache
-from repro.harness.faults import CellFailure, FaultPlan
-from repro.harness.runner import Runner
-from repro.harness.schemes import WINDOW_CYCLES
+from repro.harness.faults import FaultPlan
 from repro.service.breaker import CircuitBreaker, RejectedByBreaker
 from repro.service.jobs import (
     Job,
@@ -93,7 +90,6 @@ from repro.service.queue import ADMIT_CACHED, JobQueue, QueueFullError
 from repro.service.stream import DEFAULT_RING_EVENTS, EventRing, sse_frame
 from repro.service.workers import TierExecutionFailed, WorkerTier
 from repro.sim.report import SimReport
-from repro.sim.system import simulate_spec
 from repro.telemetry.hub import (
     MetricsHub,
     SERVICE_BREAKER_OPENED,
@@ -108,7 +104,6 @@ from repro.telemetry.hub import (
     SERVICE_STALE_SERVED,
     SERVICE_SUBMITTED,
 )
-from repro.workloads.registry import get_workload
 
 #: Default TCP port (unassigned by IANA; "DRAM" on a phone keypad is
 #: taken, so this is simply stable and memorable for local use).
@@ -135,23 +130,14 @@ _REASONS = {
 }
 
 
-class _JobFailed(Exception):
-    """Internal: a job exhausted its retries; carries the CellFailure."""
-
-    def __init__(self, failure: CellFailure) -> None:
-        super().__init__(failure.summary())
-        self.failure = failure
-
-
 class ServiceDaemon:
     """One serving instance: HTTP front, bounded queue, worker tier.
 
-    ``workers=0`` is admission-only mode (jobs queue but never run) —
-    useful for tests exercising backpressure and cancellation
-    deterministically.  ``process_tier=False`` keeps the PR 5 behaviour
-    of executing every job on daemon threads (no crash isolation); the
-    default runs non-telemetry jobs on the supervised
-    :class:`~repro.service.workers.WorkerTier` of simulator processes.
+    Every job runs on the supervised
+    :class:`~repro.service.workers.WorkerTier` of ``workers`` simulator
+    processes.  ``workers=0`` is admission-only mode (jobs queue but
+    never run) — useful for tests exercising backpressure and
+    cancellation deterministically.
     """
 
     def __init__(
@@ -167,10 +153,8 @@ class ServiceDaemon:
         retries: int = 1,
         retry_backoff: float = 0.05,
         cell_timeout: Optional[float] = None,
-        window_cycles: int = WINDOW_CYCLES,
         sse_poll_seconds: float = 0.05,
         sse_ring_events: int = DEFAULT_RING_EVENTS,
-        process_tier: bool = True,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
         shed_watermark: float = 0.75,
@@ -191,10 +175,8 @@ class ServiceDaemon:
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.cell_timeout = cell_timeout
-        self.window_cycles = window_cycles
         self.sse_poll_seconds = sse_poll_seconds
         self.sse_ring_events = sse_ring_events
-        self.process_tier = process_tier
         self.shed_watermark = shed_watermark
         self.chaos = chaos
         #: Sqlite results warehouse served read-only by the
@@ -202,12 +184,12 @@ class ServiceDaemon:
         #: default path; the routes 404 until the file exists).
         self.warehouse_path = resolve_warehouse_path(warehouse_path)
         self.verbose = verbose
-        self.hub = MetricsHub(window_cycles=max(window_cycles, 1))
+        self.hub = MetricsHub()
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown=breaker_cooldown
         )
         #: Supervised process tier (built in :meth:`_serve`); None in
-        #: admission-only or ``process_tier=False`` mode.
+        #: admission-only mode.
         self.tier: Optional[WorkerTier] = None
         #: (app, scale, seed, scheduler name, device, ecc) -> content
         #: key of the last *completed* report — the stale-serving index
@@ -284,9 +266,9 @@ class ServiceDaemon:
         )
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, self.workers),
-            thread_name_prefix="repro-sim",
+            thread_name_prefix="repro-io",
         )
-        if self.workers > 0 and self.process_tier:
+        if self.workers > 0:
             self.tier = WorkerTier(
                 self.workers,
                 retries=self.retries,
@@ -461,22 +443,13 @@ class ServiceDaemon:
             self._running[job.id] = job
             started = time.monotonic()
             try:
-                if self.tier is not None and not job.spec.telemetry:
-                    report = await self.tier.execute(job)
-                    await self._loop.run_in_executor(
-                        self._executor, self._store_result, job, report
-                    )
-                else:
-                    report = await self._loop.run_in_executor(
-                        self._executor, self._execute_sync, job
-                    )
+                report = await self.tier.execute(job)
+                await self._loop.run_in_executor(
+                    self._executor, self._store_result, job, report
+                )
             except TierExecutionFailed as exc:
                 self._note_failure(
                     job, exc.failure.to_dict(), fatal=exc.fatal
-                )
-            except _JobFailed as exc:
-                self._note_failure(
-                    job, exc.failure.to_dict(), fatal=False
                 )
             except Exception as exc:  # daemon bug / unexpected
                 self._note_failure(
@@ -500,120 +473,14 @@ class ServiceDaemon:
                 self._running.pop(job.id, None)
                 self.queue.release(job)
 
-    @staticmethod
-    def _job_meta(job: Job) -> dict:
-        """Warehouse sidecar stored next to a job's cache blob (mirrors
-        ``CellSpec.cache_meta`` so CLI- and service-produced blobs
-        ingest identically)."""
-        return {
-            "app": job.app,
-            "scale": job.scale,
-            "seed": job.seed,
-            "spec": job.spec.to_dict(),
-        }
-
     def _store_result(self, job: Job, report: SimReport) -> None:
         """Persist a tier-produced report (the tier's workers compute;
-        the daemon owns the cache) — runs on an executor thread."""
+        the daemon owns the cache) — runs on an executor thread. The
+        sidecar is the cell's own, so CLI- and service-produced blobs
+        ingest identically."""
         self.hub.inc(SERVICE_SIMULATIONS)
         if self.cache.enabled:
-            self.cache.store(job.key, report, meta=self._job_meta(job))
-
-    # ------------------------------------------------------------------
-    # Simulation execution (runs in executor threads)
-    # ------------------------------------------------------------------
-    def _execute_sync(self, job: Job) -> SimReport:
-        if job.spec.telemetry:
-            return self._execute_streaming(job)
-        return self._execute_runner(job)
-
-    def _execute_runner(self, job: Job) -> SimReport:
-        """Run through the harness Runner: retries, backoff, and (with
-        ``cell_timeout``) the supervised, self-healing process pool."""
-        spec = job.spec
-        label = spec.scheduler.name
-        runner = Runner(
-            scale=job.scale,
-            seed=job.seed,
-            config=spec.config,
-            device=spec.device,
-            ecc=spec.ecc,
-            fault_model=spec.faults,
-            tenants=spec.tenants,
-            verbose=False,
-            jobs=1,
-            cache=self.cache if self.cache.enabled else None,
-            retries=self.retries,
-            retry_backoff=self.retry_backoff,
-            cell_timeout=self.cell_timeout,
-            keep_going=True,
-            faults=None,
-            metrics=self.hub,
-        )
-        result = runner.run_matrix(
-            [job.app],
-            {label: spec.scheduler},
-            measure_error=spec.measure_error,
-        )
-        if runner.simulations_run:
-            self.hub.inc(SERVICE_SIMULATIONS, runner.simulations_run)
-        if result.failures:
-            failure = result.failures[0]
-            job.attempts = failure.attempts
-            raise _JobFailed(failure)
-        job.attempts = max(job.attempts, 1)
-        return result[(job.app, label)]
-
-    def _execute_streaming(self, job: Job) -> SimReport:
-        """In-process execution with a live telemetry hub attached, so
-        the SSE streamer can watch windows arrive mid-run. Same retry
-        policy and :class:`CellFailure` records as the Runner path, but
-        no preemptive ``cell_timeout`` (an in-thread simulation cannot
-        be killed; use a non-telemetry spec when you need hard kills).
-        """
-        spec = job.spec
-        attempts = 0
-        elapsed = 0.0
-        while True:
-            attempts += 1
-            job.attempts = attempts
-            start = time.perf_counter()
-            try:
-                reset_request_ids()
-                workload = get_workload(
-                    job.app, scale=job.scale, seed=job.seed
-                )
-                hub = MetricsHub(window_cycles=self.window_cycles)
-                job.live_hub = hub
-                report = simulate_spec(workload, spec, telemetry=hub)
-            except Exception as exc:
-                elapsed += time.perf_counter() - start
-                if attempts > self.retries:
-                    raise _JobFailed(
-                        CellFailure(
-                            app=job.app,
-                            label=spec.scheduler.name,
-                            key=job.key,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            traceback="".join(
-                                traceback_mod.format_exception(
-                                    type(exc), exc, exc.__traceback__
-                                )
-                            ),
-                            attempts=attempts,
-                            elapsed=elapsed,
-                        )
-                    ) from exc
-                # PR 3's deterministic jitter-free exponential backoff.
-                time.sleep(self.retry_backoff * 2.0 ** (attempts - 1))
-            else:
-                self.hub.inc(SERVICE_SIMULATIONS)
-                if self.cache.enabled:
-                    self.cache.store(
-                        job.key, report, meta=self._job_meta(job)
-                    )
-                return report
+            self.cache.store(job.key, report, meta=job.cell.cache_meta)
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -782,10 +649,7 @@ class ServiceDaemon:
             if doc["tier"]["state"] != "ok":
                 doc["ok"] = doc["tier"]["state"] != "down"
         else:
-            doc["tier"] = {
-                "state": "in-process",
-                "size": self.workers,
-            }
+            doc["tier"] = {"state": "admission-only", "size": 0}
         return doc
 
     def stats_doc(self) -> dict:

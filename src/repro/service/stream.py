@@ -24,7 +24,8 @@ re-derived state transitions on its own.  This module makes the event
 
 Everything here runs on the daemon's event loop (watchers are asyncio
 handlers), so the ring needs no locking; the only cross-thread read is
-the live telemetry sample list, which the hub documents as snapshot-safe.
+the job's streamed window list, which the worker pool's collector
+thread only ever appends to (snapshot-safe).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class EventRing:
 
         ``execution`` is the job actually carrying the simulation when
         ``job`` is a coalesced follower — window samples stream from the
-        primary's live hub while state/terminal events stay the
+        primary's execution while state/terminal events stay the
         follower's own.
         """
         samples = (execution or job).window_samples()

@@ -1,14 +1,13 @@
 """The supervised worker tier: N simulator processes behind the queue.
 
-PR 5 executed every job on a thread inside the daemon process — one
-wedged simulation blocked a worker thread forever, a crash in C-level
-code (or an ``os._exit``) took the whole daemon down, and there was no
-per-worker visibility.  :class:`WorkerTier` lifts the PR 3/PR 6
-supervision machinery into the daemon: jobs run in *separate
-processes* owned by a persistent :class:`~repro.harness.pool.WarmPool`,
-so a dying worker fails only its own in-flight job and respawns in
-place while the daemon — and every other in-flight job and SSE
-watcher — keeps serving.
+Every service job runs here, in a *separate process* owned by a
+persistent :class:`~repro.harness.pool.WarmPool`, so a wedged
+simulation, a crash in C-level code or an ``os._exit`` fails only its
+own in-flight job and the worker respawns in place while the daemon —
+and every other in-flight job and SSE watcher — keeps serving.  A
+telemetry job's windows stream back over the worker pipe as they
+close and land on :attr:`~repro.service.jobs.Job.live_windows`, where
+the SSE ring picks them up mid-run.
 
 Supervision layers, mirroring the staged design the paper's serving
 argument rests on (admission / arbitration / execution failing
@@ -104,11 +103,7 @@ class WorkerTier:
         self.chaos = chaos
         self.heartbeat_seconds = heartbeat_seconds
         self.metrics = metrics
-        self.pool = WarmPool(
-            size,
-            threads=False,
-            on_rebuild=self._on_rebuild,
-        )
+        self.pool = WarmPool(size, on_rebuild=self._on_rebuild)
         #: Tier-wide dispatch ordinal: jobs in first-dispatch order.
         #: This is the ``cell`` a chaos plan addresses.
         self._dispatches = 0
@@ -200,27 +195,6 @@ class WorkerTier:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _cell_of(self, job: "Job"):
-        from repro.harness.runner import CellSpec
-
-        spec = job.spec
-        return CellSpec(
-            app=job.app,
-            scale=job.scale,
-            seed=job.seed,
-            config=spec.config,
-            scheme=spec.scheduler,
-            measure_error=(
-                spec.measure_error
-                and spec.scheduler.ams.mode.value != "off"
-            ),
-            device=spec.device,
-            ecc=spec.ecc,
-            faults=spec.faults,
-            record_activations=spec.record_activations,
-            tenants=spec.tenants,
-        )
-
     async def execute(self, job: "Job") -> SimReport:
         """Run one job on the tier; returns its report or raises
         :class:`TierExecutionFailed` after ``1 + retries`` attempts.
@@ -242,7 +216,7 @@ class WorkerTier:
                 ),
                 fatal=False,
             )
-        cell = self._cell_of(job)
+        cell = job.cell
         ordinal = self._dispatches
         self._dispatches += 1
         loop = asyncio.get_running_loop()
@@ -255,8 +229,14 @@ class WorkerTier:
             for attempt in range(1, self.retries + 2):
                 job.attempts = attempt
                 started = time.monotonic()
+                # Each attempt streams its windows from the start.
+                job.live_windows = []
                 future = self.pool.submit(
-                    (job.key, cell, self.chaos, ordinal, attempt)
+                    (job.key, cell, self.chaos, ordinal, attempt),
+                    on_window=(
+                        job.live_windows.append
+                        if cell.spec.telemetry else None
+                    ),
                 )
                 try:
                     _, report, _ = await asyncio.wait_for(

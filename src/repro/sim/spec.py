@@ -2,11 +2,13 @@
 
 A :class:`SimSpec` is the single value that says *how* to simulate:
 which scheduler scheme, which DRAM device, any GPU-configuration
-overrides, and the observability/error flags. It replaces the scattered
-``simulate(...)`` keyword arguments and flows unchanged through the
-:class:`~repro.harness.runner.Runner`, the persistent result cache key,
-and the CLI's ``--device``/``--scheme`` options — one object, one JSON
-form, one fingerprint.
+overrides, and the observability/error flags. It travels whole through
+the :class:`~repro.harness.runner.Runner` and its cells, the worker
+pool, the service's jobs, the persistent result cache key, and the
+CLI's ``--device``/``--scheme`` options — one object, one JSON form,
+one fingerprint. Paths that vary a field derive the variant with
+:func:`dataclasses.replace`, never by rebuilding the spec field by
+field.
 
 Device semantics: ``device=None`` means "use the timings/energy/clock
 embedded in ``config``" (the legacy path — bit-identical to the
@@ -46,7 +48,8 @@ class SimSpec:
     measure_error: bool = False
     #: Keep per-channel activation logs on the report (RBL histograms).
     record_activations: bool = True
-    #: Attach a windowed-telemetry hub (``report.timeline``).
+    #: Attach a windowed-telemetry hub (``report.timeline``; window
+    #: :data:`~repro.sim.system.SPEC_TELEMETRY_WINDOW_CYCLES`).
     telemetry: bool = False
     #: Registered ECC code protecting DRAM reads (``"none"`` = raw).
     ecc: str = "none"
@@ -108,9 +111,9 @@ class SimSpec:
         """Deterministic 64-bit seed derived from the spec content.
 
         Seeds the fault injector so flip sites are a pure function of
-        the spec — identical across serial, ``--jobs N``, and
-        ``--threads`` execution, and stable across sessions (no Python
-        hash randomisation involved).
+        the spec — identical across serial, ``--jobs N`` and service
+        execution, and stable across sessions (no Python hash
+        randomisation involved).
         """
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")

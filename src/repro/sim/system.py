@@ -1,13 +1,13 @@
 """Full-system assembly: SM frontend + crossbars + L2 slices + MCs.
 
 This wires the substrates into the architecture of paper Fig. 1/9 and
-exposes :func:`simulate`, the package's main entry point.
+exposes :func:`simulate_spec`, the package's main entry point.
 """
 
 from __future__ import annotations
 
 import gc
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.cache.l2cache import DIRTY_FILL, L2Cache, L2Outcome
 from repro.config.gpu import GPUConfig
@@ -25,6 +25,7 @@ from repro.sim.report import L2Summary, SimReport
 from repro.sim.spec import SimSpec
 from repro.telemetry.hub import NULL_HUB, MetricsHub
 from repro.telemetry.sampler import WindowSeries
+from repro.telemetry.series import WindowSample
 from repro.vp.predictor import make_predictor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -32,6 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 #: Retry interval (memory cycles) when an L2 slice's MSHR file is full.
 _MSHR_RETRY_CYCLES = 8.0
+
+#: Window of the hub a ``spec.telemetry`` run records, wherever it runs
+#: (CLI, worker, service). Short enough that a small service job still
+#: streams several windows; the paper's 4096-cycle profiling window is
+#: :data:`~repro.telemetry.hub.DEFAULT_WINDOW_CYCLES`.
+SPEC_TELEMETRY_WINDOW_CYCLES = 1024
 
 
 class GPUSystem:
@@ -104,14 +111,20 @@ class GPUSystem:
         *,
         log_commands: bool = False,
         telemetry: Optional[MetricsHub] = None,
+        on_window: Optional[Callable[[WindowSample], None]] = None,
     ) -> "GPUSystem":
         """Assemble a system from a :class:`~repro.sim.spec.SimSpec`.
 
         The spec's device (when named) is resolved onto its GPU config;
-        ``spec.telemetry`` creates a fresh hub unless one is passed in.
+        ``spec.telemetry`` creates a fresh hub of
+        :data:`SPEC_TELEMETRY_WINDOW_CYCLES` unless one is passed in,
+        and ``on_window`` sees each of its windows as it closes.
         """
         if telemetry is None and spec.telemetry:
-            telemetry = MetricsHub()
+            telemetry = MetricsHub(
+                window_cycles=SPEC_TELEMETRY_WINDOW_CYCLES,
+                on_sample=on_window,
+            )
         system = cls(
             config=spec.resolve_config(),
             scheduler=spec.scheduler,
@@ -427,6 +440,7 @@ def simulate_spec(
     spec: SimSpec,
     *,
     telemetry: Optional[MetricsHub] = None,
+    on_window: Optional[Callable[[WindowSample], None]] = None,
 ) -> SimReport:
     """Simulate ``workload`` as described by ``spec`` — the primary
     entry point.
@@ -435,7 +449,8 @@ def simulate_spec(
     workload's kernel (values substituted by the VP's donor lines) and
     ``report.application_error`` is filled in. With a telemetry hub
     (``spec.telemetry`` or an explicit ``telemetry=``),
-    ``report.timeline`` carries the per-window series.
+    ``report.timeline`` carries the per-window series; ``on_window``
+    receives each window of a ``spec.telemetry`` run as it closes.
 
     When ``spec.tenants`` names a mix, ``workload`` supplies only the
     run-level scale and seed: the simulated trace is the
@@ -443,7 +458,9 @@ def simulate_spec(
     mix's own workload roster (pass a ready-made ``TenantMix`` to skip
     the re-composition).
     """
-    system = GPUSystem.from_spec(spec, telemetry=telemetry)
+    system = GPUSystem.from_spec(
+        spec, telemetry=telemetry, on_window=on_window
+    )
     if spec.tenants is not None:
         from repro.workloads.tenant_mix import TenantMix
 
@@ -464,39 +481,3 @@ def simulate_spec(
             workload, report.drops, config=system.config
         )
     return report
-
-
-def simulate(
-    workload: "Workload",
-    *,
-    scheduler: Optional[SchedulerConfig] = None,
-    config: Optional[GPUConfig] = None,
-    device: Optional[str] = None,
-    record_activations: bool = True,
-    measure_error: bool = False,
-    telemetry: Optional[MetricsHub] = None,
-) -> SimReport:
-    """Simulate ``workload`` under ``scheduler`` on the Table I GPU.
-
-    Compatibility shim over :func:`simulate_spec`, kept for the
-    pre-:class:`SimSpec` call sites (deprecated; new code should build a
-    :class:`~repro.sim.spec.SimSpec` and call :func:`simulate_spec`).
-    The keyword arguments map one-to-one onto spec fields and behaviour
-    is identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "simulate(scheduler=..., config=...) is deprecated; build a "
-        "SimSpec and call simulate_spec(workload, spec) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = SimSpec(
-        scheduler=scheduler if scheduler is not None else baseline_scheduler(),
-        device=device,
-        config=config,
-        measure_error=measure_error,
-        record_activations=record_activations,
-    )
-    return simulate_spec(workload, spec, telemetry=telemetry)

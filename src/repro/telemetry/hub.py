@@ -4,7 +4,7 @@ Telemetry is *strictly opt-in*. Components receive :data:`NULL_HUB` by
 default — a singleton whose methods are no-ops — so the simulator's hot
 path pays nothing when observability is off. Passing a real
 :class:`MetricsHub` to :class:`~repro.sim.system.GPUSystem` (or
-``simulate(..., telemetry=hub)``) turns on:
+``simulate_spec(..., telemetry=hub)``) turns on:
 
 * named **counters** (monotonic, e.g. ``"mc0.ams.drops"``) and
   **gauges** (last-value, e.g. ``"mc0.dms.x"``) that instrumented
@@ -21,9 +21,9 @@ with telemetry off (enforced by ``tests/test_telemetry.py``).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.telemetry.series import Timeline
+from repro.telemetry.series import Timeline, WindowSample
 
 #: Default window, matching the paper's 4096-cycle profiling interval.
 DEFAULT_WINDOW_CYCLES = 4096
@@ -122,7 +122,12 @@ class MetricsHub:
     #: instrumentation sites can skip string formatting entirely.
     enabled = True
 
-    def __init__(self, *, window_cycles: int = DEFAULT_WINDOW_CYCLES) -> None:
+    def __init__(
+        self,
+        *,
+        window_cycles: int = DEFAULT_WINDOW_CYCLES,
+        on_sample: Optional[Callable[[WindowSample], None]] = None,
+    ) -> None:
         if window_cycles <= 0:
             raise ValueError("window_cycles must be positive")
         self.window_cycles = window_cycles
@@ -130,12 +135,10 @@ class MetricsHub:
         self.gauges: dict[str, float] = {}
         #: Filled in by the window recorder at the end of the run.
         self.timeline: Optional[Timeline] = None
-        #: Live view of the window recorder's growing sample list,
-        #: published by :class:`~repro.telemetry.sampler.WindowSeries`
-        #: as soon as it attaches. List appends are GIL-atomic, so a
-        #: reader in another thread (the service's SSE streamer) can
-        #: snapshot it mid-run without locking.
-        self.live_samples: Optional[list] = None
+        #: Called by :class:`~repro.telemetry.sampler.WindowSeries` with
+        #: each window as it closes (a service worker streams them to
+        #: the daemon mid-run).
+        self.on_sample = on_sample
         #: Named append-only numeric series (one value per window),
         #: e.g. the per-tenant ``tenant.<name>.served`` timelines. Kept
         #: outside :class:`~repro.telemetry.series.WindowSample` — whose
@@ -182,7 +185,7 @@ class NullHub:
     enabled = False
     window_cycles = 0
     timeline = None
-    live_samples = None
+    on_sample = None
     series: dict[str, list] = {}
 
     def inc(self, name: str, value: float = 1.0) -> None:

@@ -41,10 +41,6 @@ class WindowSeries:
         self.system = system
         self.window = float(hub.window_cycles)
         self.samples: list[WindowSample] = []
-        # Publish the growing list on the hub so an observer in another
-        # thread (the service daemon's SSE streamer) can watch windows
-        # arrive mid-run; purely an alias, never mutated from outside.
-        hub.live_samples = self.samples
         self._last_end = 0.0
         # Cumulative-counter snapshots for windowed deltas.
         self._prev_acts = 0
@@ -158,6 +154,8 @@ class WindowSeries:
             th_rbl=[mc.ams.th_rbl for mc in system.controllers],
         )
         self.samples.append(sample)
+        if self.hub.on_sample is not None:
+            self.hub.on_sample(sample)
         self._prev_acts = acts
         self._prev_served = served
         self._prev_reads = reads

@@ -2,24 +2,12 @@
 
 Each of the twenty applications composes these generators over its *own
 arrays* (so every emitted address maps back to real kernel data for
-approximation replay). The patterns encode the structural properties the
-paper's Tables II/III characterise:
-
-================  =====================================================
-pattern           property it realises
-================  =====================================================
-partitioned/      streaming with high immediate row locality
-paired stream     (low thrashing; paired variant adds the Fig. 3
-                  temporal skew that DMS merges -> activation
-                  sensitivity)
-row revisit       a warp returns to each DRAM row after a configurable
-                  number of ops -> activation sensitivity without
-                  inter-warp skew
-column sweep      large-stride walks (matrix columns): single-line row
-                  visits -> high thrashing, RBL(1)/RBL(2) mass
-irregular lines   pseudo-random chunk visits (ray tracing, triangle
-                  intersection): high thrashing, delay-insensitive
-================  =====================================================
+approximation replay). :func:`row_visit_streams` is the workhorse: it
+visits every DRAM row of an array in fixed doses, which realises the
+structural properties the paper's Tables II/III characterise — row
+locality (lines per visit), activation sensitivity (paired visits with
+the Fig. 3 temporal skew DMS merges), and thrashing (shuffled row
+order, single-line visits). :func:`interleave` merges pattern groups.
 
 All generators emit 128-byte line-granularity accesses (post-coalescing,
 post-L1; see DESIGN.md §5) and tag loads with the programmer's
@@ -97,249 +85,8 @@ def multi_line_op(
 
 
 # ----------------------------------------------------------------------
-# Streaming patterns
+# DRAM-row patterns
 # ----------------------------------------------------------------------
-def partitioned_stream(
-    space: AddressSpace,
-    name: str,
-    n_elems: int,
-    *,
-    n_warps: int,
-    elems_per_op: int,
-    compute: float,
-    instructions: int = 16,
-    write: bool = False,
-    out_name: str | None = None,
-    out_elems_per_op: int = 0,
-) -> list[WarpStream]:
-    """Each warp streams a contiguous slice of the array.
-
-    Optionally writes ``out_elems_per_op`` elements of ``out_name`` per op
-    (the usual load-compute-store kernel shape).
-    """
-    if n_warps <= 0:
-        raise WorkloadError("n_warps must be positive")
-    streams: list[WarpStream] = []
-    per_warp = n_elems // n_warps
-    for w in range(n_warps):
-        lo = w * per_warp
-        hi = lo + per_warp
-        ops: WarpStream = []
-        out_pos = (out_elems_per_op * lo // max(elems_per_op, 1)
-                   if out_name else 0)
-        for start in range(lo, hi, elems_per_op):
-            stop = min(start + elems_per_op, hi)
-            if out_name and out_elems_per_op:
-                ops.append(
-                    multi_line_op(
-                        space,
-                        [
-                            (name, start, stop, write),
-                            (out_name, out_pos,
-                             out_pos + out_elems_per_op, True),
-                        ],
-                        compute=compute,
-                        instructions=instructions,
-                    )
-                )
-                out_pos += out_elems_per_op
-            else:
-                ops.append(
-                    line_op(
-                        space, name, start, stop,
-                        compute=compute, instructions=instructions,
-                        write=write,
-                    )
-                )
-        streams.append(ops)
-    return streams
-
-
-def paired_stream(
-    space: AddressSpace,
-    name: str,
-    n_elems: int,
-    *,
-    n_pairs: int,
-    elems_per_op: int,
-    compute: float,
-    skew_cycles: float,
-    instructions: int = 16,
-) -> list[WarpStream]:
-    """Warp pairs share a slice; the partner starts ``skew_cycles`` later.
-
-    This is exactly the Fig. 3 situation: the partner's requests to each
-    row arrive after the leader's, so the baseline reopens every row while
-    a sufficient DMS delay serves both waves with one activation.
-    """
-    streams: list[WarpStream] = []
-    per_pair = n_elems // n_pairs
-    for p in range(n_pairs):
-        lo = p * per_pair
-        hi = lo + per_pair
-        lead: WarpStream = []
-        trail: WarpStream = [idle_op(skew_cycles)]
-        for start in range(lo, hi, 2 * elems_per_op):
-            mid = min(start + elems_per_op, hi)
-            stop = min(start + 2 * elems_per_op, hi)
-            lead.append(
-                line_op(space, name, start, mid,
-                        compute=compute, instructions=instructions)
-            )
-            if stop > mid:
-                trail.append(
-                    line_op(space, name, mid, stop,
-                            compute=compute, instructions=instructions)
-                )
-        streams.append(lead)
-        streams.append(trail)
-    return streams
-
-
-def row_revisit_stream(
-    space: AddressSpace,
-    name: str,
-    n_elems: int,
-    *,
-    n_warps: int,
-    elems_per_visit: int,
-    revisit_stride_ops: int,
-    compute: float,
-    instructions: int = 16,
-) -> list[WarpStream]:
-    """Warps walk chunks, returning to each region after N other ops.
-
-    The second visit reads the *following* elements of the same DRAM row,
-    so it misses L2 but would row-hit if the row were still open — the
-    single-warp analogue of activation sensitivity.
-    """
-    streams: list[WarpStream] = []
-    per_warp = n_elems // n_warps
-    for w in range(n_warps):
-        base = w * per_warp
-        visits: list[tuple[int, int]] = []
-        for start in range(base, base + per_warp, 2 * elems_per_visit):
-            visits.append((start, min(start + elems_per_visit,
-                                      base + per_warp)))
-        ops: WarpStream = []
-        pending: list[tuple[int, int]] = []
-        for i, (lo, hi) in enumerate(visits):
-            ops.append(
-                line_op(space, name, lo, hi,
-                        compute=compute, instructions=instructions)
-            )
-            pending.append((hi, min(hi + elems_per_visit,
-                                    base + per_warp)))
-            if len(pending) >= revisit_stride_ops:
-                rlo, rhi = pending.pop(0)
-                if rhi > rlo:
-                    ops.append(
-                        line_op(space, name, rlo, rhi,
-                                compute=compute, instructions=instructions)
-                    )
-        for rlo, rhi in pending:
-            if rhi > rlo:
-                ops.append(
-                    line_op(space, name, rlo, rhi,
-                            compute=compute, instructions=instructions)
-                )
-        streams.append(ops)
-    return streams
-
-
-# ----------------------------------------------------------------------
-# Large-stride and irregular patterns
-# ----------------------------------------------------------------------
-def column_sweep(
-    space: AddressSpace,
-    name: str,
-    n_rows: int,
-    n_cols: int,
-    *,
-    n_warps: int,
-    cols_per_warp: int,
-    rows_per_op: int,
-    compute: float,
-    instructions: int = 16,
-    row_step: int = 1,
-    col_step: int = 1,
-) -> list[WarpStream]:
-    """Column-major walks over a row-major matrix (MVT/ATAX/BICG shape).
-
-    Consecutive ops stride by a full matrix row, so nearly every access
-    opens a different DRAM row: the canonical row-thrashing pattern.
-    ``col_step`` spaces the walked columns (use the number of elements
-    per 128-byte line to visit a distinct line on every access).
-    """
-    streams: list[WarpStream] = []
-    for w in range(n_warps):
-        ops: WarpStream = []
-        first_col = (w * cols_per_warp * col_step) % max(n_cols, 1)
-        for c in range(first_col,
-                       first_col + cols_per_warp * col_step, col_step):
-            col = c % n_cols
-            for r0 in range(0, n_rows, rows_per_op * row_step):
-                parts = []
-                for k in range(rows_per_op):
-                    r = r0 + k * row_step
-                    if r >= n_rows:
-                        break
-                    idx = r * n_cols + col
-                    parts.append((name, idx, idx + 1, False))
-                if parts:
-                    ops.append(
-                        multi_line_op(space, parts, compute=compute,
-                                      instructions=instructions)
-                    )
-        streams.append(ops)
-    return streams
-
-
-def irregular_lines(
-    space: AddressSpace,
-    name: str,
-    n_elems: int,
-    *,
-    n_warps: int,
-    ops_per_warp: int,
-    compute: float,
-    seed: int,
-    lines_per_op: int = 1,
-    write_fraction: float = 0.0,
-    instructions: int = 16,
-) -> list[WarpStream]:
-    """Pseudo-random line visits (ray tracing / intersection shapes).
-
-    Rows are visited once or twice in no particular order, so delaying
-    cannot merge them: the delay-insensitive, high-thrashing corner.
-    ``write_fraction`` of ops also store to their line's row — giving the
-    mixed read/write rows that block AMS for Group-3 applications.
-    """
-    rng = np.random.default_rng(seed)
-    epl = space.elements_per_line(name)
-    n_lines = max(n_elems // epl, 1)
-    streams: list[WarpStream] = []
-    for _ in range(n_warps):
-        picks = rng.integers(0, n_lines, size=ops_per_warp * lines_per_op)
-        writes = rng.random(ops_per_warp) < write_fraction
-        ops: WarpStream = []
-        for i in range(ops_per_warp):
-            parts = []
-            for j in range(lines_per_op):
-                line = int(picks[i * lines_per_op + j])
-                lo = line * epl
-                parts.append((name, lo, lo + 1, False))
-            if writes[i]:
-                lo = int(picks[i * lines_per_op]) * epl
-                parts.append((name, lo, lo + 1, True))
-            ops.append(
-                multi_line_op(space, parts, compute=compute,
-                              instructions=instructions)
-            )
-        streams.append(ops)
-    return streams
-
-
 def dram_row_groups(
     space: AddressSpace, name: str, mapping
 ) -> list[list[int]]:

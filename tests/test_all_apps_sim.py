@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import baseline_scheduler, static_ams
-from repro.sim.system import simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.workloads import TABLE_II, get_workload
 
 SCALE = 0.12
@@ -11,8 +12,10 @@ SCALE = 0.12
 
 @pytest.mark.parametrize("name", sorted(TABLE_II))
 def test_every_app_simulates_under_baseline(name: str) -> None:
-    report = simulate(get_workload(name, scale=SCALE),
-                      scheduler=baseline_scheduler())
+    report = simulate_spec(
+        get_workload(name, scale=SCALE),
+        SimSpec(scheduler=baseline_scheduler()),
+    )
     assert report.requests_served > 0
     assert report.activations > 0
     assert report.total_instructions > 0
@@ -27,10 +30,9 @@ def test_every_app_simulates_under_baseline(name: str) -> None:
 @pytest.mark.parametrize("name", ("SCP", "MVT", "RAY", "meanfilter"))
 def test_representative_apps_with_ams_and_error(name: str) -> None:
     wl = get_workload(name, scale=0.25)
-    report = simulate(
+    report = simulate_spec(
         wl,
-        scheduler=static_ams(8),
-        measure_error=True,
+        SimSpec(scheduler=static_ams(8), measure_error=True),
     )
     assert report.coverage <= 0.10 + 1e-9
     err = report.application_error

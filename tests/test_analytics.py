@@ -85,6 +85,15 @@ class TestBootstrapCI:
         b = bootstrap_ci([0.3, 0.9, 0.4, 0.8, 0.1])
         assert a == b
 
+    def test_nesting_holds_on_a_tied_sample(self):
+        # Once a falsifying draw of the nesting property below: the
+        # 0.625-level high interpolated between two equal resampled
+        # means and rounded above the 0.75-level high.
+        narrow = bootstrap_ci([0.0, 0.0, 0.625], confidence=0.625)
+        wide = bootstrap_ci([0.0, 0.0, 0.625], confidence=0.75)
+        assert narrow.high <= wide.high
+        assert wide.low <= narrow.low
+
     @given(
         values=st.lists(
             st.floats(

@@ -3,9 +3,7 @@
 A service client submitting a malformed nested SimSpec payload gets one
 shot at fixing it; these tests pin that the :class:`ConfigError` message
 carries the full dotted path (``scheduler.dms.mode``), not just the name
-of the dataclass that choked. Also covers the legacy ``simulate()``
-shim's deprecation contract: it must warn, and it must keep producing
-results identical to the :func:`simulate_spec` path it wraps.
+of the dataclass that choked.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from repro.config.scheduler import DMSConfig, SchedulerConfig
 from repro.errors import ConfigError
 from repro.harness.schemes import scheme_def
 from repro.sim.spec import SimSpec
-from repro.sim.system import simulate, simulate_spec
-from repro.workloads.registry import get_workload
 
 # ----------------------------------------------------------------------
 # Unknown fields.
@@ -83,21 +79,3 @@ def test_error_free_decode_still_round_trips():
     assert isinstance(widened.bwutil_threshold, float)
     # int -> float widening stays allowed (JSON has no float literal
     # for whole numbers).
-
-
-# ----------------------------------------------------------------------
-# Legacy simulate() shim.
-
-
-def test_legacy_simulate_warns_and_matches_simulate_spec():
-    workload = get_workload("synthetic", scale=0.05, seed=9)
-    scheduler = scheme_def("frfcfs").build()
-    from repro.dram.request import reset_request_ids
-
-    reset_request_ids()
-    with pytest.warns(DeprecationWarning, match="simulate_spec"):
-        legacy = simulate(workload, scheduler=scheduler)
-    workload = get_workload("synthetic", scale=0.05, seed=9)
-    reset_request_ids()
-    modern = simulate_spec(workload, SimSpec(scheduler=scheduler))
-    assert legacy.to_dict() == modern.to_dict()

@@ -19,9 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.config.scheduler import AMSMode, SchedulerConfig
-from repro.dram.request import reset_request_ids
 from repro.harness.runner import Runner
-from repro.workloads.registry import get_workload
+from repro.sim.spec import SimSpec
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_PATH = REPO / "tests" / "golden" / "seed_reports.json"
@@ -75,7 +74,9 @@ def test_disabled_ecc_hook_is_field_identical(scheme_id: str) -> None:
     from repro.config.faults import FaultConfig
 
     scheme = SCHEMES[scheme_id]
-    report = make_runner(ecc="none", fault_model=FaultConfig()).run(
+    report = make_runner(
+        spec=SimSpec(ecc="none", faults=FaultConfig())
+    ).run(
         FIXTURE["workload"], scheme, label=scheme_id,
         measure_error=scheme.ams.mode is not AMSMode.OFF,
     )
@@ -87,28 +88,7 @@ def test_disabled_ecc_hook_is_field_identical(scheme_id: str) -> None:
 
 def test_named_gddr5_device_is_field_identical_to_default() -> None:
     """Selecting --device gddr5 must change nothing but the cache key."""
-    report = make_runner(device="gddr5").run(
+    report = make_runner(spec=SimSpec(device="gddr5")).run(
         FIXTURE["workload"], SchedulerConfig(), label="frfcfs@gddr5"
     )
     assert report.to_dict() == GOLDEN["reports"]["frfcfs"]
-
-
-def test_simulate_shim_matches_simulate_spec() -> None:
-    """The legacy ``simulate(scheduler=..., ...)`` keyword surface is a
-    thin shim over ``simulate_spec`` and must produce identical reports."""
-    from repro.sim.spec import SimSpec
-    from repro.sim.system import simulate, simulate_spec
-
-    reset_request_ids()
-    via_shim = simulate(
-        get_workload(FIXTURE["workload"], scale=FIXTURE["scale"],
-                     seed=FIXTURE["seed"])
-    )
-    reset_request_ids()
-    via_spec = simulate_spec(
-        get_workload(FIXTURE["workload"], scale=FIXTURE["scale"],
-                     seed=FIXTURE["seed"]),
-        SimSpec(),
-    )
-    assert via_shim.to_dict() == via_spec.to_dict()
-    assert via_shim.to_dict() == GOLDEN["reports"]["frfcfs"]

@@ -10,7 +10,8 @@ import pytest
 from repro.config import GPUConfig, baseline_scheduler, hbm1_timings
 from repro.config.energy import hbm1_energy
 from repro.harness.schemes import evaluation_schemes
-from repro.sim.system import simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.workloads import get_workload
 
 SCALE = 0.5
@@ -19,17 +20,23 @@ SCHEMES = evaluation_schemes()
 
 class TestDynDMS:
     def test_dyn_dms_protects_ipc(self) -> None:
-        base = simulate(get_workload("SCP", scale=SCALE),
-                        scheduler=baseline_scheduler())
-        dyn = simulate(get_workload("SCP", scale=SCALE),
-                       scheduler=SCHEMES["Dyn-DMS"])
+        base = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=baseline_scheduler()),
+        )
+        dyn = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-DMS"]),
+        )
         # The 95 % BWUTIL guard translates into bounded IPC loss — far
         # from the unguarded losses a large static delay would cause.
         assert dyn.normalized_ipc(base) > 0.85
 
     def test_dyn_dms_explores_nonzero_delays(self) -> None:
-        report = simulate(get_workload("newtonraph", scale=SCALE),
-                          scheduler=SCHEMES["Dyn-DMS"])
+        report = simulate_spec(
+            get_workload("newtonraph", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-DMS"]),
+        )
         # At least one controller settled on a nonzero delay at some
         # point of the run (the delay trace records every window).
         explored = any(
@@ -40,24 +47,32 @@ class TestDynDMS:
         assert explored
 
     def test_dyn_dms_reduces_activations_on_tolerant_app(self) -> None:
-        base = simulate(get_workload("newtonraph", scale=SCALE),
-                        scheduler=baseline_scheduler())
-        dyn = simulate(get_workload("newtonraph", scale=SCALE),
-                       scheduler=SCHEMES["Dyn-DMS"])
+        base = simulate_spec(
+            get_workload("newtonraph", scale=SCALE),
+            SimSpec(scheduler=baseline_scheduler()),
+        )
+        dyn = simulate_spec(
+            get_workload("newtonraph", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-DMS"]),
+        )
         assert dyn.activations <= base.activations
         assert dyn.normalized_ipc(base) > 0.85
 
 
 class TestDynAMS:
     def test_dyn_ams_obeys_coverage_and_drops(self) -> None:
-        report = simulate(get_workload("SCP", scale=SCALE),
-                          scheduler=SCHEMES["Dyn-AMS"])
+        report = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-AMS"]),
+        )
         assert report.requests_dropped > 0
         assert report.coverage <= 0.10 + 1e-9
 
     def test_dyn_ams_moves_th_rbl(self) -> None:
-        report = simulate(get_workload("SCP", scale=SCALE),
-                          scheduler=SCHEMES["Dyn-AMS"])
+        report = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-AMS"]),
+        )
         # SCP has a large RBL(1) population: the threshold walks down
         # from the static 8 on at least one controller.
         assert min(report.final_th_rbls) < 8
@@ -66,7 +81,7 @@ class TestDynAMS:
         # GEMM's C matrix is not annotated; every drop must map to an
         # annotated array.
         wl = get_workload("GEMM", scale=SCALE)
-        report = simulate(wl, scheduler=SCHEMES["Dyn-AMS"])
+        report = simulate_spec(wl, SimSpec(scheduler=SCHEMES["Dyn-AMS"]))
         for drop in report.drops:
             located = wl.space.locate_line(drop.addr)
             assert located is not None and located[0].approximable
@@ -74,14 +89,22 @@ class TestDynAMS:
 
 class TestCombined:
     def test_combo_beats_components_on_group1_app(self) -> None:
-        base = simulate(get_workload("SCP", scale=SCALE),
-                        scheduler=baseline_scheduler())
-        dms = simulate(get_workload("SCP", scale=SCALE),
-                       scheduler=SCHEMES["Dyn-DMS"])
-        ams = simulate(get_workload("SCP", scale=SCALE),
-                       scheduler=SCHEMES["Dyn-AMS"])
-        combo = simulate(get_workload("SCP", scale=SCALE),
-                         scheduler=SCHEMES["Dyn-DMS+Dyn-AMS"])
+        base = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=baseline_scheduler()),
+        )
+        dms = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-DMS"]),
+        )
+        ams = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-AMS"]),
+        )
+        combo = simulate_spec(
+            get_workload("SCP", scale=SCALE),
+            SimSpec(scheduler=SCHEMES["Dyn-DMS+Dyn-AMS"]),
+        )
         assert combo.row_energy_nj <= min(
             dms.row_energy_nj, ams.row_energy_nj
         ) * 1.05
@@ -91,10 +114,9 @@ class TestCombined:
 class TestHBMConfiguration:
     def test_hbm_system_runs_end_to_end(self) -> None:
         config = GPUConfig(timings=hbm1_timings(), energy=hbm1_energy())
-        report = simulate(
+        report = simulate_spec(
             get_workload("SCP", scale=0.3),
-            scheduler=SCHEMES["Static-AMS"],
-            config=config,
+            SimSpec(scheduler=SCHEMES["Static-AMS"], config=config),
         )
         assert report.requests_served > 0
         assert report.energy_params.technology == "HBM1"

@@ -27,6 +27,7 @@ from repro.harness.cache import (
 )
 from repro.harness.runner import Runner
 from repro.harness.schemes import dms_plus_ams, evaluation_schemes
+from repro.sim.spec import SimSpec
 
 SCALE = 0.12
 APPS = ("SCP", "GEMM")
@@ -39,14 +40,20 @@ def _schemes() -> dict:
     }
 
 
-def _key(**overrides) -> str:
+def _key(
+    *,
+    scheduler: SchedulerConfig = SchedulerConfig(),
+    config: GPUConfig | None = GPUConfig(),
+    measure_error: bool = False,
+    **overrides,
+) -> str:
     base = dict(
         app="SCP",
         scale=SCALE,
         seed=7,
-        scheduler=SchedulerConfig(),
-        config=GPUConfig(),
-        measure_error=False,
+        spec=SimSpec(
+            scheduler=scheduler, config=config, measure_error=measure_error
+        ),
     )
     base.update(overrides)
     return cache_key(**base)

@@ -38,8 +38,11 @@ from repro.service.jobs import (
 )
 from repro.service.queue import JobQueue
 from repro.service.server import ServiceDaemon
+from repro.dram.request import reset_request_ids
 from repro.sim.spec import SimSpec
+from repro.sim.system import SPEC_TELEMETRY_WINDOW_CYCLES, simulate_spec
 from repro.telemetry.hub import SERVICE_SIMULATIONS
+from repro.workloads.registry import get_workload
 
 SCALE = 0.05
 WAIT = 120.0
@@ -158,6 +161,38 @@ def test_sse_streams_dyn_dms_window_trajectory(tmp_path):
         assert terminal[1]["metrics"]["ipc"] > 0
     finally:
         daemon.stop()
+
+
+def test_served_telemetry_timeline_matches_simulate_spec(tmp_path):
+    """A telemetry job runs on the worker tier, streams its windows
+    over the worker pipe, and serves exactly the timeline a local
+    ``simulate_spec`` of the same spec records."""
+    spec = SimSpec(scheduler=scheme_def("dyn-dms").build(), telemetry=True)
+    daemon = _daemon(tmp_path, workers=1)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        job = client.submit("synthetic", spec=spec, scale=SCALE, seed=3)
+        streamed = [
+            data for event, data in client.events(job["id"], timeout=WAIT)
+            if event == "window"
+        ]
+        served = client.wait_for_report(job["id"], timeout=WAIT)
+        assert daemon.tier.healthz()["dispatches"] == 1
+    finally:
+        daemon.stop()
+    reset_request_ids()
+    local = simulate_spec(
+        get_workload("synthetic", scale=SCALE, seed=3), spec
+    )
+    assert local.timeline.window_cycles == SPEC_TELEMETRY_WINDOW_CYCLES
+    assert len(local.timeline) > 1
+    assert served.timeline.to_dict() == local.timeline.to_dict()
+    samples = local.timeline.to_dict()["samples"]
+    assert [
+        {k: v for k, v in frame.items() if k != "event_id"}
+        for frame in streamed
+    ] == samples
 
 
 # ----------------------------------------------------------------------

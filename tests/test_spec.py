@@ -235,29 +235,27 @@ class TestCacheV4:
     def test_format_version_is_4(self) -> None:
         assert CACHE_FORMAT_VERSION == 4
 
-    def base_key(self, **overrides) -> str:
-        kwargs = dict(
-            app="synthetic", scale=0.25, seed=11,
-            scheduler=SchedulerConfig(),
-        )
+    def base_key(self, spec: SimSpec = SimSpec(), **overrides) -> str:
+        kwargs = dict(app="synthetic", scale=0.25, seed=11, spec=spec)
         kwargs.update(overrides)
         return cache_key(**kwargs)
 
     def test_device_is_part_of_the_key(self) -> None:
         # A named device must not collide with the bare default, even
         # for gddr5 where the resolved configs are identical.
-        assert self.base_key() != self.base_key(device="gddr5")
-        assert self.base_key(device="gddr5") != self.base_key(device="hbm")
+        gddr5 = self.base_key(SimSpec(device="gddr5"))
+        assert self.base_key() != gddr5
+        assert gddr5 != self.base_key(SimSpec(device="hbm"))
 
     def test_selector_fields_are_part_of_the_key(self) -> None:
         assert self.base_key() != self.base_key(
-            scheduler=SchedulerConfig(arbiter="fcfs")
+            SimSpec(scheduler=SchedulerConfig(arbiter="fcfs"))
         )
-        assert self.base_key(
-            scheduler=SchedulerConfig(arbiter="frfcfs-cap", hit_streak_cap=2)
-        ) != self.base_key(
-            scheduler=SchedulerConfig(arbiter="frfcfs-cap", hit_streak_cap=4)
-        )
+        assert self.base_key(SimSpec(scheduler=SchedulerConfig(
+            arbiter="frfcfs-cap", hit_streak_cap=2
+        ))) != self.base_key(SimSpec(scheduler=SchedulerConfig(
+            arbiter="frfcfs-cap", hit_streak_cap=4
+        )))
 
     def test_tenant_mix_is_part_of_the_key(self) -> None:
         # The whole tenants section reaches the key: roster, per-tenant

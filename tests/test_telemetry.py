@@ -22,7 +22,8 @@ from repro.dram.request import reset_request_ids
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.cli import main as cli_main
 from repro.sim.report import SimReport
-from repro.sim.system import GPUSystem, simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import GPUSystem, simulate_spec
 from repro.telemetry import (
     NULL_HUB,
     MetricsHub,
@@ -143,7 +144,8 @@ class TestTimelineRoundTrip:
         report, _, _ = traced_run(DYN_COMBO, telemetry=True)
         cache = ResultCache(tmp_path, enabled=True)
         key = cache_key(
-            app="synthetic", scale=0.2, seed=5, scheduler=DYN_COMBO
+            app="synthetic", scale=0.2, seed=5,
+            spec=SimSpec(scheduler=DYN_COMBO),
         )
         cache.store(key, report)
         loaded = cache.load(key)
@@ -247,10 +249,12 @@ class TestTraceCLI:
 
 
 def test_simulate_accepts_telemetry() -> None:
-    """`simulate()` plumbs the hub through to the report timeline."""
+    """`simulate_spec()` plumbs the hub through to the report timeline."""
     hub = MetricsHub(window_cycles=512)
     workload = get_workload("synthetic", scale=0.15, seed=5)
     reset_request_ids()
-    report = simulate(workload, scheduler=DYN_COMBO, telemetry=hub)
+    report = simulate_spec(
+        workload, SimSpec(scheduler=DYN_COMBO), telemetry=hub
+    )
     assert report.timeline is hub.timeline
     assert len(report.timeline) > 0
