@@ -4,13 +4,16 @@ The in-process tests (``tests/test_service.py``) run the daemon's
 asyncio loop in a thread of the test process; this script exercises the
 deployment shape instead: it launches ``repro-harness serve`` as a real
 subprocess, throws 8 concurrent duplicate submissions at it over
-localhost HTTP, and checks the three properties the service exists to
+localhost HTTP, and checks the four properties the service exists to
 provide:
 
 1. exactly **one** simulation ran (coalescing + cache, asserted via
    ``/v1/stats``),
 2. all 8 clients received **byte-identical** result payloads,
-3. a ``POST /v1/shutdown`` with ``drain=true`` lets the daemon exit
+3. resubmitting the same spec afterwards is answered ``cached`` with
+   those very bytes — read back from the result cache, the daemon's
+   only result store,
+4. a ``POST /v1/shutdown`` with ``drain=true`` lets the daemon exit
    cleanly (exit code 0) with nothing left in the queue.
 
 Exits non-zero on any violation. Used by the (non-gating) CI service
@@ -115,6 +118,18 @@ def main() -> int:
         if distinct != 1:
             print(f"FAIL: {distinct} distinct payloads across "
                   f"{CLIENTS} clients")
+            ok = False
+
+        again = client.submit(APP, scale=SCALE, seed=SEED, retry_busy=5)
+        print(f"resubmission outcome={again.get('outcome')}")
+        if again.get("outcome") != "cached":
+            print(f"FAIL: resubmission answered "
+                  f"{again.get('outcome')!r}, expected 'cached'")
+            ok = False
+        elif json.dumps(again.get("result"), sort_keys=True) \
+                != payloads[0]:
+            print("FAIL: the cached resubmission's result differs from "
+                  "the coalesced results")
             ok = False
 
         client.shutdown(drain=True)

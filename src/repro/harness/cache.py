@@ -130,20 +130,53 @@ class ResultCache:
         """Blob path for a cache key (two-level fan-out by key prefix)."""
         return self.root / key[:2] / f"{key}.json"
 
-    def _discard_corrupt(self, path: Path) -> None:
+    def _quarantine(self, path: Path) -> None:
         """Unlink a malformed blob so it cannot poison future runs.
 
         A corrupt entry (torn write survived a crash, disk error, or an
         injected ``corrupt`` fault) would otherwise turn *every*
         subsequent run of its cell into a hard failure; deleting it
-        converts the damage into one extra simulation.
+        converts the damage into one extra simulation. Only
+        :attr:`quarantined` is counted: whether it was also a miss is
+        the caller's call.
         """
         try:
             path.unlink()
         except OSError:
             pass
         self.quarantined += 1
-        self.misses += 1
+
+    def _read_blob(self, path: Path) -> Optional[dict]:
+        """The current-format blob document at ``path``, or None.
+
+        None covers a missing file, a blob written under another format
+        version (kept on disk: healthy, just from a different build) and
+        a corrupt one (undecodable JSON or a non-dict document,
+        quarantined).
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                blob = json.load(fh)
+        except FileNotFoundError:
+            return None
+        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+            self._quarantine(path)
+            return None
+        if not isinstance(blob, dict):
+            self._quarantine(path)
+            return None
+        if blob.get("format_version") != CACHE_FORMAT_VERSION:
+            return None
+        return blob
+
+    def _report_of(self, path: Path, blob: dict) -> Optional[SimReport]:
+        """Decode a blob's report; a payload :meth:`SimReport.from_dict`
+        rejects (or a missing ``report`` section) is quarantined."""
+        try:
+            return SimReport.from_dict(blob["report"])
+        except (KeyError, TypeError, ValueError, AttributeError):
+            self._quarantine(path)
+            return None
 
     def load(self, key: str) -> Optional[SimReport]:
         """Return the cached report for ``key``, or None on a miss.
@@ -158,27 +191,12 @@ class ResultCache:
         if not self.enabled:
             return None
         path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
-        except FileNotFoundError:
+        blob = self._read_blob(path)
+        report = self._report_of(path, blob) if blob is not None else None
+        if report is None:
             self.misses += 1
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self._discard_corrupt(path)
-            return None
-        if not isinstance(blob, dict):
-            self._discard_corrupt(path)
-            return None
-        if blob.get("format_version") != CACHE_FORMAT_VERSION:
-            self.misses += 1
-            return None
-        try:
-            report = SimReport.from_dict(blob["report"])
-        except (KeyError, TypeError, ValueError, AttributeError):
-            self._discard_corrupt(path)
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return report
 
     def store(
@@ -266,27 +284,11 @@ class ResultCache:
         for path in self.entries():
             try:
                 stat = path.stat()
-                with open(path, "r", encoding="utf-8") as fh:
-                    blob = json.load(fh)
-            except FileNotFoundError:
+            except OSError:
                 continue  # concurrently cleared
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                self.quarantined += 1
-                continue
-            if not isinstance(blob, dict):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                self.quarantined += 1
-                continue
-            if blob.get("format_version") != CACHE_FORMAT_VERSION:
-                continue
-            yield path.stem, blob, stat.st_mtime, stat.st_size
+            blob = self._read_blob(path)
+            if blob is not None:
+                yield path.stem, blob, stat.st_mtime, stat.st_size
 
     def iter_entries(self):
         """Lazily yield ``(content_key, SimReport, mtime)`` tuples.
@@ -295,16 +297,9 @@ class ResultCache:
         quarantined (unlinked + counted), matching :meth:`load`.
         """
         for key, blob, mtime, _size in self.iter_blobs():
-            try:
-                report = SimReport.from_dict(blob["report"])
-            except (KeyError, TypeError, ValueError, AttributeError):
-                try:
-                    self.path_for(key).unlink()
-                except OSError:
-                    pass
-                self.quarantined += 1
-                continue
-            yield key, report, mtime
+            report = self._report_of(self.path_for(key), blob)
+            if report is not None:
+                yield key, report, mtime
 
     def size_bytes(self) -> int:
         """Total bytes occupied by cached blobs.

@@ -833,12 +833,8 @@ def _serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="serve without the persistent result cache",
+        help="result cache root, where every finished job's report "
+        "lives (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
     parser.add_argument(
         "--warehouse", default=None, metavar="DB",
@@ -880,7 +876,7 @@ def _serve_main(argv: list[str]) -> int:
         port=args.port,
         workers=args.workers,
         queue_size=args.queue_size,
-        cache=ResultCache(args.cache_dir, enabled=not args.no_cache),
+        cache=ResultCache(args.cache_dir, enabled=True),
         journal_path=args.journal,
         journal_fsync=args.journal_fsync,
         sse_ring_events=args.sse_ring_events or DEFAULT_RING_EVENTS,

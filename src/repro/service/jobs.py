@@ -12,13 +12,15 @@ a small validated state machine::
 Every submission and every transition is appended to a :class:`JobJournal`
 — one JSON object per line, flushed immediately — so a daemon that
 crashes or restarts can :func:`replay_journal` its way back: terminal
-jobs keep their state (results re-served from the
-:class:`~repro.harness.cache.ResultCache` by content key), interrupted
-``queued``/``running`` jobs are re-admitted for a fresh attempt.
+jobs keep their state, interrupted ``queued``/``running`` jobs are
+re-admitted for a fresh attempt.
 
-The journal never stores simulation *results* (those belong to the
-cache); it stores intent and outcome, which keeps it small enough to
-replay in milliseconds even after thousands of jobs.
+Neither a job nor the journal holds simulation *results*: a finished
+job's report lives only in the
+:class:`~repro.harness.cache.ResultCache`, under the job's content key,
+and the daemon reads it back whenever a response needs it. The journal
+stores intent and outcome, which keeps it small enough to replay in
+milliseconds even after thousands of jobs.
 """
 
 from __future__ import annotations
@@ -149,17 +151,13 @@ class Job:
     #: True when this job was rebuilt from the journal of a previous
     #: daemon process rather than submitted to this one.
     recovered: bool = False
-    #: True when the result served is a *stale* cached report of a
-    #: related spec, handed out because the execution tier was down.
-    degraded: bool = False
     #: Crash-safe SSE event history (lazily built by the first watcher).
     ring: Optional[Any] = None
-    #: The finished report (in-memory only; persisted via the cache).
-    report: Optional["SimReport"] = None
     #: Concurrent identical submissions riding on this job's execution.
     followers: list["Job"] = field(default_factory=list)
     #: Telemetry windows of the in-flight attempt, appended as the
-    #: worker streams them (``spec.telemetry`` jobs only).
+    #: worker streams them (``spec.telemetry`` jobs only); dropped once
+    #: the job is done, when the cached report's timeline has them all.
     live_windows: list["WindowSample"] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -248,22 +246,11 @@ class Job:
             self.finished_at = now
 
     # ------------------------------------------------------------------
-    def window_samples(self) -> list["WindowSample"]:
-        """Every telemetry window observable for this job *right now*.
-
-        While the simulation is in flight this reads the windows the
-        worker tier has streamed so far (the pool's collector thread
-        appends them; appends are GIL-atomic, so a snapshot from the
-        event loop is safe); after completion it reads the report
-        timeline.
-        """
-        if self.report is not None and self.report.timeline is not None:
-            return list(self.report.timeline.samples)
-        return list(self.live_windows)
-
-    # ------------------------------------------------------------------
-    def to_public_dict(self, *, include_result: bool = True) -> dict:
-        """The JSON document ``GET /v1/jobs/<id>`` serves."""
+    def to_public_dict(
+        self, result: Optional["SimReport"] = None
+    ) -> dict:
+        """The JSON document ``GET /v1/jobs/<id>`` serves; ``result`` is
+        the finished report, read from the cache by the caller."""
         doc = {
             "id": self.id,
             "app": self.app,
@@ -279,13 +266,11 @@ class Job:
             "cached": self.cached,
             "coalesced_into": self.coalesced_into,
             "recovered": self.recovered,
-            "degraded": self.degraded,
             "error": self.error,
             "spec": self.spec.to_dict(),
         }
-        if include_result and self.state is JobState.DONE \
-                and self.report is not None:
-            doc["result"] = self.report.to_dict()
+        if result is not None:
+            doc["result"] = result.to_dict()
         return doc
 
 

@@ -1,14 +1,15 @@
-"""Bounded priority job queue with coalescing and cache-first admission.
+"""Bounded priority job queue with coalescing.
 
-Admission order for every submission (:meth:`JobQueue.admit`):
+Admission order for every submission:
 
-1. **Cache first** — the job's content key is probed against the shared
-   :class:`~repro.harness.cache.ResultCache`; a warm hit completes the
-   job immediately without ever touching the worker pool.
-2. **Coalesce** — if an identical spec (same content key) is already
-   queued or running, the new job attaches to it as a *follower*: one
-   simulation, N answers. This is what makes a thundering herd of
-   identical sweep cells cost one cell.
+1. **Cache first** — the daemon probes the job's content key against
+   the shared :class:`~repro.harness.cache.ResultCache` before the queue
+   sees the job; a warm hit completes it immediately (outcome
+   :data:`ADMIT_CACHED`) without ever touching the worker pool.
+2. **Coalesce** (:meth:`JobQueue.admit`) — if an identical spec (same
+   content key) is already queued or running, the new job attaches to
+   it as a *follower*: one simulation, N answers. This is what makes a
+   thundering herd of identical sweep cells cost one cell.
 3. **Enqueue** — otherwise the job enters the bounded priority heap
    (higher :attr:`~repro.service.jobs.Job.priority` first, FIFO within a
    priority). A full heap raises :class:`QueueFullError`, which the HTTP
@@ -17,7 +18,7 @@ Admission order for every submission (:meth:`JobQueue.admit`):
 
 All methods must run on the daemon's event loop (single-threaded
 admission makes the coalescing index race-free by construction); the
-simulations themselves run in executor threads.
+simulations themselves run on the worker tier's processes.
 """
 
 from __future__ import annotations
@@ -27,16 +28,11 @@ import heapq
 from typing import Optional
 
 from repro.errors import JobStateError, ServiceBusyError
-from repro.harness.cache import ResultCache
 from repro.service.jobs import Job, JobState
-from repro.telemetry.hub import (
-    NULL_HUB,
-    SERVICE_CACHE_HITS,
-    SERVICE_COALESCED,
-    SERVICE_REJECTED,
-)
+from repro.telemetry.hub import NULL_HUB, SERVICE_COALESCED, SERVICE_REJECTED
 
-#: Admission outcomes returned by :meth:`JobQueue.admit`.
+#: Admission outcomes (the daemon's cache probe answers ``cached``;
+#: :meth:`JobQueue.admit` returns one of the other two).
 ADMIT_CACHED = "cached"
 ADMIT_COALESCED = "coalesced"
 ADMIT_QUEUED = "queued"
@@ -47,19 +43,12 @@ class QueueFullError(ServiceBusyError):
 
 
 class JobQueue:
-    """Priority heap + coalescing index + cache-first admission."""
+    """Priority heap + coalescing index."""
 
-    def __init__(
-        self,
-        *,
-        maxsize: int = 64,
-        cache: Optional[ResultCache] = None,
-        metrics=NULL_HUB,
-    ) -> None:
+    def __init__(self, *, maxsize: int = 64, metrics=NULL_HUB) -> None:
         if maxsize < 1:
             raise ValueError("queue maxsize must be >= 1")
         self.maxsize = maxsize
-        self.cache = cache
         self.metrics = metrics
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = 0
@@ -95,22 +84,14 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     async def admit(self, job: Job) -> str:
-        """Admit a submission; returns one of the ``ADMIT_*`` outcomes.
+        """Admit a cache-missing submission; returns
+        :data:`ADMIT_COALESCED` or :data:`ADMIT_QUEUED`.
 
-        Cache-hit jobs come back already ``done`` (report attached);
-        coalesced jobs stay ``queued`` with
+        Coalesced jobs stay ``queued`` with
         :attr:`~repro.service.jobs.Job.coalesced_into` set; otherwise the
         job enters the heap. Raises :class:`QueueFullError` with a
         ``retry_after`` hint when the bounded heap is full.
         """
-        if self.cache is not None:
-            report = self.cache.load(job.key)
-            if report is not None:
-                job.cached = True
-                job.report = report
-                job.transition(JobState.DONE)
-                self.metrics.inc(SERVICE_CACHE_HITS)
-                return ADMIT_CACHED
         primary = self._inflight.get(job.key)
         if primary is not None and not primary.terminal:
             job.coalesced_into = primary.id

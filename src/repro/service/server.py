@@ -4,7 +4,7 @@
 multi-tenant simulation service::
 
     POST /v1/jobs               submit a JSON SimSpec job -> job id
-    GET  /v1/jobs/<id>          status (+ full SimReport when done)
+    GET  /v1/jobs/<id>          status (+ the cached SimReport when done)
     GET  /v1/jobs/<id>/events   SSE stream: state changes + per-window
                                 telemetry (BWUTIL, activations, drops,
                                 live Dyn-DMS X / Dyn-AMS Th_RBL)
@@ -40,19 +40,24 @@ Robustness layers around the tier:
 * **load shedding** — when every tier worker is busy and the queue is
   past its watermark, submissions get an immediate 429 +
   ``Retry-After`` instead of unbounded queueing;
-* **graceful degradation** — with the execution tier down, exact cache
-  hits still serve, related specs get the last completed *stale* report
-  (labeled ``degraded`` + ``X-Repro-Degraded`` header), everything else
-  a 503 with a retry hint;
 * **crash-safe SSE** (:mod:`repro.service.stream`) — each job owns a
   bounded event ring with monotonically increasing ids; any number of
   watchers fan out from one ring and a dropped client reconnects with
   ``Last-Event-ID`` to replay exactly what it missed.
 
+The result cache is the daemon's only result store. A finished job
+keeps no report: its ``result`` is ``cache.load(job.key)``, read when a
+status response or an SSE terminal frame needs it and then dropped, so
+the daemon's memory does not grow with the requests it serves, and
+clearing the cache under a running daemon makes finished results
+unavailable (the status omits ``result``). The daemon therefore
+requires an enabled cache.
+
 Every submission/transition is journalled
 (:class:`~repro.service.jobs.JobJournal`); a restarted daemon replays
-the journal, keeps terminal jobs addressable (results re-served from
-the cache by content key), and re-queues interrupted work.
+the journal, keeps terminal jobs addressable (results served from the
+cache by content key, exactly as for live jobs), and re-queues
+interrupted work.
 
 The HTTP layer is deliberately minimal (HTTP/1.1, ``Connection:
 close``, JSON bodies) — no framework, no new dependencies.
@@ -94,6 +99,7 @@ from repro.telemetry.hub import (
     MetricsHub,
     SERVICE_BREAKER_OPENED,
     SERVICE_BREAKER_REJECTED,
+    SERVICE_CACHE_HITS,
     SERVICE_CANCELLED,
     SERVICE_COMPLETED,
     SERVICE_FAILED,
@@ -101,7 +107,6 @@ from repro.telemetry.hub import (
     SERVICE_SHED,
     SERVICE_SIMULATIONS,
     SERVICE_SSE_STREAMS,
-    SERVICE_STALE_SERVED,
     SERVICE_SUBMITTED,
 )
 
@@ -111,6 +116,9 @@ DEFAULT_PORT = 8732
 
 #: Default journal location, beside (not inside) the result cache.
 DEFAULT_JOURNAL = ".repro-service/journal.jsonl"
+
+#: Seconds between an SSE watcher's polls of its job's event ring.
+SSE_POLL_SECONDS = 0.05
 
 #: Upper bound on request bodies (a SimSpec is a few KB; 8 MB is ample).
 _MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -126,7 +134,6 @@ _REASONS = {
     422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    503: "Service Unavailable",
 }
 
 
@@ -138,6 +145,10 @@ class ServiceDaemon:
     processes.  ``workers=0`` is admission-only mode (jobs queue but
     never run) — useful for tests exercising backpressure and
     cancellation deterministically.
+
+    ``cache`` must be enabled: it is where every finished job's report
+    lives (default: an enabled cache at ``$REPRO_CACHE_DIR`` or
+    ``.repro-cache``).
     """
 
     def __init__(
@@ -153,7 +164,6 @@ class ServiceDaemon:
         retries: int = 1,
         retry_backoff: float = 0.05,
         cell_timeout: Optional[float] = None,
-        sse_poll_seconds: float = 0.05,
         sse_ring_events: int = DEFAULT_RING_EVENTS,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
@@ -166,16 +176,22 @@ class ServiceDaemon:
             raise ValueError("workers must be >= 0")
         if not 0.0 < shed_watermark <= 1.0:
             raise ValueError("shed_watermark must be in (0, 1]")
+        if cache is None:
+            cache = ResultCache(enabled=True)
+        if not cache.enabled:
+            raise ValueError(
+                "the service daemon needs an enabled result cache: "
+                "finished jobs' reports live only there"
+            )
         self.host = host
         self.port = port
         self.workers = workers
         self.queue_size = queue_size
-        self.cache = cache if cache is not None else ResultCache()
+        self.cache = cache
         self.journal = JobJournal(journal_path, fsync=journal_fsync)
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.cell_timeout = cell_timeout
-        self.sse_poll_seconds = sse_poll_seconds
         self.sse_ring_events = sse_ring_events
         self.shed_watermark = shed_watermark
         self.chaos = chaos
@@ -191,10 +207,6 @@ class ServiceDaemon:
         #: Supervised process tier (built in :meth:`_serve`); None in
         #: admission-only mode.
         self.tier: Optional[WorkerTier] = None
-        #: (app, scale, seed, scheduler name, device, ecc) -> content
-        #: key of the last *completed* report — the stale-serving index
-        #: of degraded mode.
-        self._family_index: dict[tuple, str] = {}
         #: Every job this daemon knows (live + recovered), by id.
         self.jobs: dict[str, Job] = {}
         self.queue: Optional[JobQueue] = None
@@ -261,9 +273,7 @@ class ServiceDaemon:
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._finished = asyncio.Event()
-        self.queue = JobQueue(
-            maxsize=self.queue_size, cache=self.cache, metrics=self.hub
-        )
+        self.queue = JobQueue(maxsize=self.queue_size, metrics=self.hub)
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, self.workers),
             thread_name_prefix="repro-io",
@@ -292,7 +302,7 @@ class ServiceDaemon:
             f"(workers={self.workers}"
             f"{' [process tier]' if self.tier else ''}, "
             f"queue={self.queue_size}, "
-            f"cache={self.cache.root if self.cache.enabled else 'off'})"
+            f"cache={self.cache.root})"
         )
         self._ready.set()
         try:
@@ -310,7 +320,7 @@ class ServiceDaemon:
                 continue
             self.hub.inc(SERVICE_RECOVERED)
             try:
-                outcome = await self.queue.admit(job)
+                outcome, _ = await self._admit(job)
             except QueueFullError:
                 job.transition(JobState.FAILED)
                 job.error = {
@@ -341,7 +351,9 @@ class ServiceDaemon:
             self._server.close()
             await self._server.wait_closed()
         if drain:
-            while len(self.queue) or self._running:
+            # Queued jobs only drain when there are workers to run them;
+            # an admission-only daemon leaves them in the journal.
+            while (self.workers and len(self.queue)) or self._running:
                 await asyncio.sleep(0.02)
         await self.queue.close()
         if self._worker_tasks:
@@ -377,47 +389,24 @@ class ServiceDaemon:
             job = primary
         return job
 
-    def _finish_job(
-        self,
-        job: Job,
-        *,
-        report: Optional[SimReport],
-        error: Optional[dict],
-    ) -> None:
-        """Resolve a primary and all its followers to a terminal state."""
+    def _finish_job(self, job: Job, error: Optional[dict]) -> None:
+        """Resolve a primary and all its followers to a terminal state:
+        done when ``error`` is None (the report is in the cache), else
+        failed."""
         members = [job, *job.followers]
         job.followers = []
+        if error is None:
+            job.live_windows = []  # the cached timeline holds them all
         for member in members:
             if member.terminal:
                 continue
-            member.report = report
             member.error = error
-            if report is not None:
+            if error is None:
                 self._set_state(member, JobState.DONE)
                 self.hub.inc(SERVICE_COMPLETED)
             else:
                 self._set_state(member, JobState.FAILED)
                 self.hub.inc(SERVICE_FAILED)
-
-    @staticmethod
-    def _family_of(job: Job) -> tuple:
-        """Degraded-mode grouping: specs that are 'the same experiment'
-        modulo tunables — the last completed member is an acceptable
-        stale answer when the execution tier is down."""
-        return (
-            job.app,
-            job.scale,
-            job.seed,
-            job.spec.scheduler.name,
-            job.spec.device,
-            job.spec.ecc,
-        )
-
-    def _note_success(self, job: Job) -> None:
-        """A simulation (or cache hit) for this key completed: reset its
-        breaker history and index it for degraded-mode stale serving."""
-        self.breaker.record_success(job.key)
-        self._family_index[self._family_of(job)] = job.key
 
     def _note_failure(
         self, job: Job, error: Optional[dict], *, fatal: bool
@@ -432,7 +421,7 @@ class ServiceDaemon:
                 f"circuit OPEN for key {job.key[:16]}… after "
                 f"{self.breaker.threshold} consecutive failure(s)"
             )
-        self._finish_job(job, report=None, error=error)
+        self._finish_job(job, error)
 
     async def _worker(self) -> None:
         while True:
@@ -443,10 +432,7 @@ class ServiceDaemon:
             self._running[job.id] = job
             started = time.monotonic()
             try:
-                report = await self.tier.execute(job)
-                await self._loop.run_in_executor(
-                    self._executor, self._store_result, job, report
-                )
+                await self._simulate(job)
             except TierExecutionFailed as exc:
                 self._note_failure(
                     job, exc.failure.to_dict(), fatal=exc.fatal
@@ -466,21 +452,47 @@ class ServiceDaemon:
                     fatal=False,
                 )
             else:
-                self._note_success(job)
-                self._finish_job(job, report=report, error=None)
+                self.breaker.record_success(job.key)
+                self._finish_job(job, None)
             finally:
                 self.queue.note_duration(time.monotonic() - started)
                 self._running.pop(job.id, None)
                 self.queue.release(job)
 
-    def _store_result(self, job: Job, report: SimReport) -> None:
-        """Persist a tier-produced report (the tier's workers compute;
-        the daemon owns the cache) — runs on an executor thread. The
-        sidecar is the cell's own, so CLI- and service-produced blobs
-        ingest identically."""
+    async def _simulate(self, job: Job) -> None:
+        """Run a job on the tier and store its report in the cache (the
+        tier's workers compute; the daemon owns the cache). The report
+        is dropped when this returns: the cache is the only copy. The
+        store runs on an executor thread; its sidecar is the cell's
+        own, so CLI- and service-produced blobs ingest identically."""
+        report = await self.tier.execute(job)
         self.hub.inc(SERVICE_SIMULATIONS)
-        if self.cache.enabled:
-            self.cache.store(job.key, report, meta=job.cell.cache_meta)
+        await self._loop.run_in_executor(
+            self._executor,
+            lambda: self.cache.store(
+                job.key, report, meta=job.cell.cache_meta
+            ),
+        )
+
+    async def _admit(self, job: Job) -> tuple[str, Optional[SimReport]]:
+        """Cache-first admission: a warm hit finishes the job at once
+        and returns its report, for the response only; any other job
+        goes to the queue (which raises :class:`QueueFullError` when
+        full)."""
+        report = self.cache.load(job.key)
+        if report is not None:
+            job.cached = True
+            job.transition(JobState.DONE)
+            self.hub.inc(SERVICE_CACHE_HITS)
+            return ADMIT_CACHED, report
+        return await self.queue.admit(job), None
+
+    def _result_of(self, job: Job) -> Optional[SimReport]:
+        """A done job's report, read from the cache (None when the job
+        is not done or its blob is gone)."""
+        if job.state is not JobState.DONE:
+            return None
+        return self.cache.load(job.key)
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -646,8 +658,6 @@ class ServiceDaemon:
         }
         if self.tier is not None:
             doc["tier"] = self.tier.healthz()
-            if doc["tier"]["state"] != "ok":
-                doc["ok"] = doc["tier"]["state"] != "down"
         else:
             doc["tier"] = {"state": "admission-only", "size": 0}
         return doc
@@ -806,9 +816,6 @@ class ServiceDaemon:
                 headers={"Retry-After": "5"},
             )
             return
-        if self.tier is not None and not self.tier.available:
-            await self._handle_degraded_submit(job, writer)
-            return
         if self._should_shed():
             hint = max(1.0, self.queue.retry_after_hint())
             self.hub.inc(SERVICE_SHED)
@@ -840,7 +847,7 @@ class ServiceDaemon:
             )
             return
         try:
-            outcome = await self.queue.admit(job)
+            outcome, report = await self._admit(job)
         except QueueFullError as exc:
             if was_trial:
                 self.breaker.abandon_trial(job.key)
@@ -857,14 +864,14 @@ class ServiceDaemon:
         if outcome == ADMIT_CACHED:
             self.journal.record_state(job)
             self.hub.inc(SERVICE_COMPLETED)
-            self._note_success(job)
+            self.breaker.record_success(job.key)
             status = 200
         else:
             status = 202
         self._respond(
             writer,
             status,
-            {"outcome": outcome, "job": job.to_public_dict()},
+            {"outcome": outcome, "job": job.to_public_dict(report)},
         )
 
     def _should_shed(self) -> bool:
@@ -882,63 +889,6 @@ class ServiceDaemon:
             )
         )
 
-    async def _handle_degraded_submit(
-        self, job: Job, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve what we can with the execution tier down: exact cache
-        hits normally, a *stale* relative's report with a degraded
-        label, else an honest 503 with a retry hint."""
-        report = self.cache.load(job.key) if self.cache.enabled else None
-        stale_key = None
-        if report is None:
-            stale_key = self._family_index.get(self._family_of(job))
-            if stale_key is not None and self.cache.enabled:
-                report = self.cache.load(stale_key)
-        if report is None:
-            self._respond(
-                writer,
-                503,
-                {
-                    "error": "execution tier unavailable and no cached "
-                             "report to serve",
-                    "retry_after": 5.0,
-                },
-                headers={"Retry-After": "5"},
-            )
-            return
-        self.hub.inc(SERVICE_SUBMITTED)
-        self.jobs[job.id] = job
-        self.journal.record_submit(job)
-        job.report = report
-        job.cached = True
-        degraded = stale_key is not None
-        job.degraded = degraded
-        job.transition(JobState.DONE)
-        self.journal.record_state(job)
-        self.hub.inc(SERVICE_COMPLETED)
-        headers = {}
-        if degraded:
-            self.hub.inc(SERVICE_STALE_SERVED)
-            headers["X-Repro-Degraded"] = "stale-cache"
-        self._respond(
-            writer,
-            200,
-            {
-                "outcome": "degraded" if degraded else ADMIT_CACHED,
-                "job": job.to_public_dict(),
-            },
-            headers=headers,
-        )
-
-    def _resolve_result(self, job: Job) -> None:
-        """Attach the report of a DONE-but-unloaded job (post-restart)."""
-        if (
-            job.state is JobState.DONE
-            and job.report is None
-            and self.cache.enabled
-        ):
-            job.report = self.cache.load(job.key)
-
     def _handle_status(
         self, job_id: str, writer: asyncio.StreamWriter
     ) -> None:
@@ -948,8 +898,9 @@ class ServiceDaemon:
                 writer, 404, {"error": f"unknown job {job_id!r}"}
             )
             return
-        self._resolve_result(job)
-        self._respond(writer, 200, job.to_public_dict())
+        self._respond(
+            writer, 200, job.to_public_dict(self._result_of(job))
+        )
 
     async def _handle_cancel(
         self, job_id: str, writer: asyncio.StreamWriter
@@ -979,9 +930,7 @@ class ServiceDaemon:
         self.breaker.abandon_trial(job.key)
         if promoted is not None:
             self.journal.record_state(promoted)
-        self._respond(
-            writer, 200, job.to_public_dict(include_result=False)
-        )
+        self._respond(writer, 200, job.to_public_dict())
 
     # ------------------------------------------------------------------
     # Server-sent events (crash-safe fan-out, see repro.service.stream)
@@ -1018,10 +967,7 @@ class ServiceDaemon:
         await writer.drain()
         gap_reported = False
         while True:
-            execution = self._execution_of(job)
-            if job.state is JobState.DONE and job.report is None:
-                self._resolve_result(job)
-            ring.sync(job, execution)
+            ring.sync(job, self._execution_of(job), self._result_of)
             if last_seen and not gap_reported:
                 gap_reported = True
                 lost = ring.lost_before(last_seen)
@@ -1047,4 +993,4 @@ class ServiceDaemon:
             if job.terminal and ring.terminal_published \
                     and last_seen >= ring.last_id:
                 return
-            await asyncio.sleep(self.sse_poll_seconds)
+            await asyncio.sleep(SSE_POLL_SECONDS)

@@ -25,16 +25,21 @@ re-derived state transitions on its own.  This module makes the event
 Everything here runs on the daemon's event loop (watchers are asyncio
 handlers), so the ring needs no locking; the only cross-thread read is
 the job's streamed window list, which the worker pool's collector
-thread only ever appends to (snapshot-safe).
+thread only ever appends to (snapshot-safe). A done job's report is not
+kept anywhere in the daemon: the ring reads it from the result cache
+once, to publish the terminal summary.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+from repro.service.jobs import JobState
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.service.jobs import Job
+    from repro.sim.report import SimReport
 
 #: Default ring capacity (events, not bytes). 512 events comfortably
 #: hold the telemetry of a full streamed run at the default window.
@@ -89,7 +94,14 @@ class EventRing:
         return max(0, self.first_id - last_seen - 1)
 
     # ------------------------------------------------------------------
-    def sync(self, job: "Job", execution: Optional["Job"] = None) -> None:
+    def sync(
+        self,
+        job: "Job",
+        execution: Optional["Job"] = None,
+        load_result: Optional[
+            Callable[["Job"], Optional["SimReport"]]
+        ] = None,
+    ) -> None:
         """Publish whatever the job has produced since the last sync.
 
         Idempotent and shared: every watcher calls this from its poll
@@ -103,36 +115,46 @@ class EventRing:
         ``job`` is a coalesced follower — window samples stream from the
         primary's execution while state/terminal events stay the
         follower's own.
+
+        ``load_result`` reads a done job's report (from the result
+        cache). It is called once, when the terminal summary is
+        published: the report supplies the summary ``metrics`` and any
+        timeline windows the ring has not seen yet, then is dropped.
         """
-        samples = (execution or job).window_samples()
-        for sample in samples[self._windows_published:]:
+        report = None
+        if job.state is JobState.DONE and not self.terminal_published \
+                and load_result is not None:
+            report = load_result(job)
+        if report is not None and report.timeline is not None:
+            samples = report.timeline.samples
+        else:
+            samples = (execution or job).live_windows
+        # The pool's collector thread may append to live windows at any
+        # time; one slice is an atomic snapshot of what is new.
+        fresh = samples[self._windows_published:]
+        for sample in fresh:
             self.append("window", sample.to_dict())
-        self._windows_published = max(
-            self._windows_published, len(samples)
-        )
+        self._windows_published += len(fresh)
         state = job.state.value
         if state != self._last_state:
             self._last_state = state
-            self.append(
-                "state", job.to_public_dict(include_result=False)
-            )
+            self.append("state", job.to_public_dict())
         if job.terminal and not self.terminal_published:
             self.terminal_published = True
             summary: dict = {
                 "id": job.id,
                 "state": state,
                 "cached": job.cached,
-                "degraded": job.degraded,
                 "windows": self._windows_published,
                 "error": job.error,
             }
-            if job.report is not None:
+            if report is not None:
                 summary["metrics"] = {
-                    "ipc": job.report.ipc,
-                    "activations": job.report.activations,
-                    "row_energy_nj": job.report.row_energy_nj,
-                    "coverage": job.report.coverage,
-                    "elapsed_mem_cycles": job.report.elapsed_mem_cycles,
+                    "ipc": report.ipc,
+                    "activations": report.activations,
+                    "row_energy_nj": report.row_energy_nj,
+                    "coverage": report.coverage,
+                    "elapsed_mem_cycles": report.elapsed_mem_cycles,
                 }
             self.append(state, summary)
 

@@ -35,6 +35,11 @@ Failures that exhaust their retries raise :class:`TierExecutionFailed`
 carrying the structured :class:`~repro.harness.faults.CellFailure` and
 a ``fatal`` flag (worker-killing vs plain exception) — the daemon feeds
 that flag into the per-key circuit breaker.
+
+The tier has no "down" state. A dead worker is respawned in place, and
+the pool is closed only by the daemon's shutdown, after the listening
+socket has closed, so no submission can find the tier gone. A returned
+report goes straight into the result cache; the tier keeps no copy.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.service.jobs import Job
 
 #: Heartbeat period (seconds) of the tier's background supervisor task.
-DEFAULT_HEARTBEAT_SECONDS = 2.0
+HEARTBEAT_SECONDS = 2.0
 
 #: An idle worker silent for this many heartbeat periods is respawned.
 STALE_HEARTBEATS = 5
@@ -91,7 +96,6 @@ class WorkerTier:
         retry_backoff: float = 0.05,
         deadline: Optional[float] = None,
         chaos: Optional[FaultPlan] = None,
-        heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
         metrics=NULL_HUB,
     ) -> None:
         if size < 1:
@@ -101,13 +105,11 @@ class WorkerTier:
         self.retry_backoff = retry_backoff
         self.deadline = deadline
         self.chaos = chaos
-        self.heartbeat_seconds = heartbeat_seconds
         self.metrics = metrics
         self.pool = WarmPool(size, on_rebuild=self._on_rebuild)
         #: Tier-wide dispatch ordinal: jobs in first-dispatch order.
         #: This is the ``cell`` a chaos plan addresses.
         self._dispatches = 0
-        self._paused = False
         self._heartbeat_task: Optional[asyncio.Task] = None
         #: Jobs currently executing (id -> Job), for healthz.
         self.inflight: dict[str, "Job"] = {}
@@ -134,24 +136,12 @@ class WorkerTier:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.pool.close)
 
-    def pause(self) -> None:
-        """Take the execution tier down (degraded-mode switch)."""
-        self._paused = True
-
-    def resume(self) -> None:
-        self._paused = False
-
-    @property
-    def available(self) -> bool:
-        """Whether the tier accepts work right now."""
-        return not self._paused and not self.pool.closed
-
     # ------------------------------------------------------------------
     async def _heartbeat_loop(self) -> None:
-        stale_after = self.heartbeat_seconds * STALE_HEARTBEATS
+        stale_after = HEARTBEAT_SECONDS * STALE_HEARTBEATS
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.heartbeat_seconds)
+            await asyncio.sleep(HEARTBEAT_SECONDS)
             try:
                 self.pool.ping()
                 respawned = await loop.run_in_executor(
@@ -176,14 +166,8 @@ class WorkerTier:
         """Per-worker tier state for ``/v1/healthz``."""
         states = self.pool.worker_states()
         alive = sum(1 for s in states if s.get("alive"))
-        if not self.available:
-            state = "down"
-        elif alive < self.size:
-            state = "degraded"
-        else:
-            state = "ok"
         return {
-            "state": state,
+            "state": "degraded" if alive < self.size else "ok",
             "size": self.size,
             "alive": alive,
             "busy": len(self.inflight),
@@ -202,20 +186,6 @@ class WorkerTier:
         The job's :attr:`~repro.service.jobs.Job.attempts` counter is
         kept live so status documents show retry progress mid-flight.
         """
-        if not self.available:
-            raise TierExecutionFailed(
-                CellFailure(
-                    app=job.app,
-                    label=job.spec.scheduler.name,
-                    key=job.key,
-                    error_type="TierUnavailable",
-                    message="execution tier is paused or closed",
-                    traceback="",
-                    attempts=0,
-                    elapsed=0.0,
-                ),
-                fatal=False,
-            )
         cell = job.cell
         ordinal = self._dispatches
         self._dispatches += 1
@@ -296,7 +266,7 @@ class WorkerTier:
 
 
 __all__ = [
-    "DEFAULT_HEARTBEAT_SECONDS",
+    "HEARTBEAT_SECONDS",
     "TierExecutionFailed",
     "WorkerTier",
 ]

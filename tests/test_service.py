@@ -21,6 +21,7 @@ The invariants pinned down here, against a real in-process daemon
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import json
 
 import pytest
@@ -39,6 +40,7 @@ from repro.service.jobs import (
 from repro.service.queue import JobQueue
 from repro.service.server import ServiceDaemon
 from repro.dram.request import reset_request_ids
+from repro.sim.report import SimReport
 from repro.sim.spec import SimSpec
 from repro.sim.system import SPEC_TELEMETRY_WINDOW_CYCLES, simulate_spec
 from repro.telemetry.hub import SERVICE_SIMULATIONS
@@ -196,6 +198,68 @@ def test_served_telemetry_timeline_matches_simulate_spec(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# The result cache is the daemon's only result store.
+
+
+def test_daemon_keeps_no_report_after_serving(tmp_path):
+    """After a cold job, a run of cache hits, a status read and an SSE
+    replay of the finished job, no SimReport is left in the process:
+    each was dropped with the response or frame that needed it."""
+    before = [o for o in gc.get_objects() if isinstance(o, SimReport)]
+    known = {id(o) for o in before}
+    spec = SimSpec(scheduler=scheme_def("frfcfs").build())
+    daemon = _daemon(tmp_path, workers=1)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        cold = client.submit("synthetic", spec=spec, scale=SCALE, seed=17)
+        assert "result" in client.wait(cold["id"], timeout=WAIT)
+        for _ in range(6):
+            hit = client.submit(
+                "synthetic", spec=spec, scale=SCALE, seed=17
+            )
+            assert hit["outcome"] == "cached" and "result" in hit
+        events = list(client.events(cold["id"], timeout=WAIT))
+        assert events[-1][0] == "done"
+        assert events[-1][1]["metrics"]["ipc"] > 0
+        gc.collect()
+        held = [
+            o for o in gc.get_objects()
+            if isinstance(o, SimReport) and id(o) not in known
+        ]
+        assert held == []
+    finally:
+        daemon.stop()
+
+
+def test_done_job_whose_blob_is_gone_has_no_result(tmp_path):
+    """A live done job reads its result from the cache like a recovered
+    one: once the blob is deleted, the status omits ``result`` and the
+    terminal SSE summary carries no metrics."""
+    cache = ResultCache(tmp_path / "cache", enabled=True)
+    daemon = _daemon(tmp_path, workers=1, cache=cache)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        job = client.submit("synthetic", scale=SCALE, seed=19)
+        assert "result" in client.wait(job["id"], timeout=WAIT)
+        cache.path_for(job["key"]).unlink()
+        doc = client.job(job["id"])
+        assert doc["state"] == "done" and "result" not in doc
+        with pytest.raises(ServiceError, match="no longer cached"):
+            client.wait_for_report(job["id"], timeout=WAIT)
+        event, summary = list(client.events(job["id"], timeout=WAIT))[-1]
+        assert event == "done" and "metrics" not in summary
+    finally:
+        daemon.stop()
+
+
+def test_daemon_requires_an_enabled_cache(tmp_path):
+    with pytest.raises(ValueError, match="enabled result cache"):
+        _daemon(tmp_path, cache=ResultCache(tmp_path, enabled=False))
+
+
+# ----------------------------------------------------------------------
 # Protocol edges: backpressure, validation, cancellation.
 
 
@@ -308,6 +372,29 @@ def test_restart_recovers_queued_jobs_from_journal(tmp_path):
         second.stop()
 
 
+def test_drain_stop_of_admission_only_daemon_returns(tmp_path):
+    """With no workers nothing can drain the queue: a drain=True stop
+    returns at once and leaves the queued job to the journal, from
+    which the next daemon recovers it as queued."""
+    journal = tmp_path / "journal.jsonl"
+    first = _daemon(tmp_path, workers=0, journal_path=journal)
+    first.start_in_thread()
+    client = ServiceClient(port=first.port)
+    job_id = client.submit("synthetic", scale=SCALE, seed=43)["id"]
+    first.stop(drain=True, timeout=10.0)
+    assert not first._thread.is_alive()
+
+    second = _daemon(tmp_path, workers=0, journal_path=journal)
+    second.start_in_thread()
+    try:
+        doc = ServiceClient(port=second.port).job(job_id)
+        assert doc["state"] == "queued"
+        assert doc["recovered"] is True
+    finally:
+        second.stop(drain=True, timeout=10.0)
+    assert not second._thread.is_alive()
+
+
 def test_replay_journal_tolerates_torn_tail(tmp_path):
     journal = tmp_path / "journal.jsonl"
     spec = SimSpec()
@@ -412,7 +499,7 @@ def test_queue_orders_by_priority_then_fifo():
     import asyncio
 
     async def scenario():
-        queue = JobQueue(maxsize=8, cache=ResultCache(enabled=False))
+        queue = JobQueue(maxsize=8)
         low = _job(1, priority=0)
         high = _job(2, priority=5)
         low2 = _job(3, priority=0)
@@ -429,7 +516,7 @@ def test_queue_promotes_follower_when_primary_cancelled():
     import asyncio
 
     async def scenario():
-        queue = JobQueue(maxsize=8, cache=ResultCache(enabled=False))
+        queue = JobQueue(maxsize=8)
         primary = _job(7)
         duplicate = _job(7)
         assert (await queue.admit(primary)) == "queued"

@@ -17,10 +17,7 @@ threaded into the tier's worker processes:
 4. **Crash-safe SSE** — a reconnect with ``Last-Event-ID`` replays
    exactly the missed events, and a reconnect past the bounded ring's
    tail gets an explicit ``gap`` event.
-5. **Graceful degradation** — with the tier down, exact cache hits
-   serve normally, a family-mate serves its last completed report
-   labeled ``degraded``, and cold specs get an honest 503.
-6. **Load shedding** — with every worker busy and the queue past its
+5. **Load shedding** — with every worker busy and the queue past its
    watermark, submissions shed with 429 + Retry-After.
 """
 
@@ -39,11 +36,7 @@ from repro.harness.schemes import scheme_def
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceDaemon
 from repro.sim.spec import SimSpec
-from repro.telemetry.hub import (
-    SERVICE_SHED,
-    SERVICE_STALE_SERVED,
-    SERVICE_TIER_RESPAWNS,
-)
+from repro.telemetry.hub import SERVICE_SHED, SERVICE_TIER_RESPAWNS
 
 SCALE = 0.05
 WAIT = 180.0
@@ -74,7 +67,8 @@ def test_killed_worker_fails_only_its_own_job(tmp_path):
     neighbour job and its SSE watcher never notice, and the daemon
     serves throughout."""
     reference = _daemon(
-        tmp_path / "ref", cache=ResultCache(tmp_path / "ref" / "cache")
+        tmp_path / "ref",
+        cache=ResultCache(tmp_path / "ref" / "cache", enabled=True),
     )
     reference.start_in_thread()
     try:
@@ -156,7 +150,7 @@ def test_chaos_load_every_5th_dispatch_killed(tmp_path):
         # re-serving them must agree with a fresh simulation.
         clean = _daemon(
             tmp_path / "clean",
-            cache=ResultCache(tmp_path / "clean" / "cache"),
+            cache=ResultCache(tmp_path / "clean" / "cache", enabled=True),
             workers=4,
         )
         clean.start_in_thread()
@@ -323,52 +317,7 @@ def test_one_running_job_fans_out_to_many_watchers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 5: graceful degradation
-# ----------------------------------------------------------------------
-def test_degraded_mode_serves_stale_with_label(tmp_path):
-    daemon = _daemon(tmp_path)
-    daemon.start_in_thread()
-    try:
-        client = ServiceClient(port=daemon.port)
-        spec = _spec()
-        job = client.submit("synthetic", spec=spec, scale=SCALE)
-        client.wait(job["id"], timeout=WAIT)
-
-        daemon.tier.pause()  # the execution tier goes down
-
-        # Exact same spec: a clean cache hit, not degraded.
-        exact = client.submit("synthetic", spec=spec, scale=SCALE)
-        assert exact["state"] == "done"
-        assert exact["degraded"] is False
-
-        # A family-mate (same experiment, one knob differs) gets the
-        # last completed relative's report, labeled stale.
-        mate = _spec(record_activations=False)
-        stale = client.submit("synthetic", spec=mate, scale=SCALE)
-        assert stale["state"] == "done"
-        assert stale["degraded"] is True
-        assert stale["outcome"] == "degraded"
-        assert stale["result"] == client.job(job["id"])["result"]
-
-        # A spec with no cached relative is an honest 503.
-        with pytest.raises(ServiceBusyError):
-            client.submit("synthetic", spec=spec, scale=SCALE, seed=99)
-
-        counters = daemon.hub.snapshot()["counters"]
-        assert counters.get(SERVICE_STALE_SERVED, 0) == 1
-        assert client.healthz()["tier"]["state"] == "down"
-
-        daemon.tier.resume()  # tier back: cold specs execute again
-        cold = client.submit(
-            "synthetic", spec=spec, scale=SCALE, seed=99
-        )
-        assert client.wait(cold["id"], timeout=WAIT)["state"] == "done"
-    finally:
-        daemon.stop()
-
-
-# ----------------------------------------------------------------------
-# 6: load shedding
+# 5: load shedding
 # ----------------------------------------------------------------------
 def test_saturated_tier_sheds_with_retry_after(tmp_path):
     daemon = _daemon(
