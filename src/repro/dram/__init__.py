@@ -16,7 +16,6 @@ from repro.dram.energy import (
 )
 from repro.dram.request import MemoryRequest, reset_request_ids
 from repro.dram.stats import (
-    ActivationRecord,
     BusUtilizationTracker,
     ChannelStats,
     merge_rbl_histograms,
@@ -24,7 +23,6 @@ from repro.dram.stats import (
 from repro.dram.timing import TimingChecker
 
 __all__ = [
-    "ActivationRecord",
     "Bank",
     "BusUtilizationTracker",
     "Channel",

@@ -21,7 +21,7 @@ from repro.config.address import AddressMapping
 from repro.config.timing import DRAMTimings
 from repro.dram.bank import Bank
 from repro.dram.commands import CommandRecord, DRAMCommand
-from repro.dram.stats import ChannelStats
+from repro.dram.stats import BusUtilizationTracker, ChannelStats
 from repro.dram.timing import TimingTable
 
 
@@ -34,7 +34,6 @@ class Channel:
         mapping: AddressMapping,
         timings: DRAMTimings,
         *,
-        record_activations: bool = True,
         log_commands: bool = False,
         refresh_enabled: bool = False,
     ) -> None:
@@ -46,7 +45,10 @@ class Channel:
             Bank(index=i, bank_group=mapping.bank_group_of(i), timings=timings)
             for i in range(mapping.banks_per_channel)
         ]
-        self.stats = ChannelStats(record_activations=record_activations)
+        self.stats = ChannelStats()
+        #: Data-bus bursts of the run: the Dyn-DMS profiler's and the
+        #: telemetry sampler's windowed view (never part of a report).
+        self.bus = BusUtilizationTracker()
         #: Earliest next column command per bank group (tCCD).
         self._group_earliest_col = [0.0] * mapping.bank_groups_per_channel
         #: Most recent ACT anywhere in the channel (tRRD).
@@ -127,7 +129,8 @@ class Channel:
         self._next_cmd_time = t + 1
         bank.do_column(t, is_write, data_end)
         self.stats.on_column(bank.index, is_write)
-        self.stats.bus.add(data_start, data_end)
+        self.stats.bus_busy += data_end - data_start
+        self.bus.add(data_start, data_end)
         if self.read_path is not None:
             self.read_path.on_access(rid, is_write)
         if self.command_log is not None:
@@ -162,7 +165,7 @@ class Channel:
         bank.do_activate(row, t_act)
         self._last_act_any = t_act
         self._next_cmd_time = t_act + 1
-        self.stats.on_activate(bank.index, row, t_act)
+        self.stats.on_activate(bank.index)
         if self.command_log is not None:
             self.command_log.append(
                 CommandRecord(

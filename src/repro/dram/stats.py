@@ -15,39 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
-@dataclass(slots=True)
-class ActivationRecord:
-    """One completed activation: how well its row buffer was reused."""
-
-    bank: int
-    row: int
-    open_time: float
-    rbl: int
-    reads: int
-    writes: int
-
-    @property
-    def reads_only(self) -> bool:
-        """True when the row was opened to serve only read requests."""
-        return self.writes == 0
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (lossless)."""
-        return {
-            "bank": self.bank,
-            "row": self.row,
-            "open_time": self.open_time,
-            "rbl": self.rbl,
-            "reads": self.reads,
-            "writes": self.writes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ActivationRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
-
 class BusUtilizationTracker:
     """Tracks data-bus busy intervals and answers windowed queries.
 
@@ -62,20 +29,21 @@ class BusUtilizationTracker:
       with the profiler cannot reset the profiling window's counter.
 
     Intervals are retained for the life of the run (they also back the
-    telemetry exporters); the cursor is an index, not a drain.
+    telemetry exporters); the cursor is an index, not a drain. The
+    tracker is live simulator state owned by the channel
+    (``Channel.bus``): reports keep only the busy total
+    (:attr:`ChannelStats.bus_busy`).
     """
 
     def __init__(self) -> None:
         self._intervals: list[tuple[float, float]] = []
         self._cursor: float = 0.0
         self._cursor_idx: int = 0
-        self.total_busy: float = 0.0
 
     def add(self, start: float, end: float) -> None:
         """Record a data burst occupying the bus on ``[start, end)``."""
         if end <= start:
             return
-        self.total_busy += end - start
         self._intervals.append((start, end))
 
     @property
@@ -127,41 +95,16 @@ class BusUtilizationTracker:
             i += 1
         return busy
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BusUtilizationTracker):
-            return NotImplemented
-        return (
-            self.total_busy == other.total_busy
-            and self._cursor == other._cursor
-            and self._cursor_idx == other._cursor_idx
-            and self._intervals == other._intervals
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (lossless)."""
-        return {
-            "total_busy": self.total_busy,
-            "cursor": self._cursor,
-            "cursor_idx": self._cursor_idx,
-            "intervals": [list(iv) for iv in self._intervals],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BusUtilizationTracker":
-        """Inverse of :meth:`to_dict`."""
-        tracker = cls()
-        tracker.total_busy = data["total_busy"]
-        tracker._cursor = data["cursor"]
-        tracker._cursor_idx = data["cursor_idx"]
-        tracker._intervals = [
-            (start, end) for start, end in data["intervals"]
-        ]
-        return tracker
-
 
 @dataclass
 class ChannelStats:
-    """Statistics for one memory channel."""
+    """Results of one memory channel: counters and RBL histograms.
+
+    A results-only record — every field is an aggregate, so a report
+    stays a few kB however long the run. The live state behind the
+    aggregates (the data-bus intervals, ``Channel.bus``, and the
+    optional command log) stays on the :class:`~repro.dram.channel.Channel`.
+    """
 
     reads_served: int = 0
     writes_served: int = 0
@@ -172,18 +115,21 @@ class ChannelStats:
     reads_arrived: int = 0
     writes_arrived: int = 0
     rbl_histogram: Counter = field(default_factory=Counter)
-    activation_log: list[ActivationRecord] = field(default_factory=list)
-    record_activations: bool = True
-    bus: BusUtilizationTracker = field(default_factory=BusUtilizationTracker)
-    _open: dict[int, ActivationRecord] = field(default_factory=dict)
+    #: RBL histogram over the activations that served no write (Fig. 6).
+    read_only_rbl_histogram: Counter = field(default_factory=Counter)
+    #: Data-bus busy cycles summed over every burst (``SimReport.bwutil``).
+    bus_busy: float = 0.0
+    #: Bank -> ``[rbl, writes]`` of its activation in progress. Empty
+    #: once :meth:`finalize` ran, so it is neither compared nor stored.
+    _open: dict[int, list[int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
-    def on_activate(self, bank: int, row: int, t: float) -> None:
+    def on_activate(self, bank: int) -> None:
         """Record an ACT; closes accounting for the bank's previous row."""
         self._close(bank)
         self.activations += 1
-        self._open[bank] = ActivationRecord(
-            bank=bank, row=row, open_time=t, rbl=0, reads=0, writes=0
-        )
+        self._open[bank] = [0, 0]
 
     def on_precharge(self, bank: int) -> None:
         """Record a PRE that closes the bank without a follow-up ACT yet."""
@@ -194,11 +140,9 @@ class ChannelStats:
         """Record a column access served from the open row of ``bank``."""
         rec = self._open.get(bank)
         if rec is not None:
-            rec.rbl += 1
+            rec[0] += 1
             if is_write:
-                rec.writes += 1
-            else:
-                rec.reads += 1
+                rec[1] += 1
         if is_write:
             self.writes_served += 1
         else:
@@ -213,9 +157,10 @@ class ChannelStats:
         rec = self._open.pop(bank, None)
         if rec is None:
             return
-        self.rbl_histogram[rec.rbl] += 1
-        if self.record_activations:
-            self.activation_log.append(rec)
+        rbl, writes = rec
+        self.rbl_histogram[rbl] += 1
+        if not writes:
+            self.read_only_rbl_histogram[rbl] += 1
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -250,19 +195,17 @@ class ChannelStats:
             "requests_dropped": self.requests_dropped,
             "reads_arrived": self.reads_arrived,
             "writes_arrived": self.writes_arrived,
-            "rbl_histogram": {
-                str(k): v for k, v in sorted(self.rbl_histogram.items())
-            },
-            "activation_log": [r.to_dict() for r in self.activation_log],
-            "record_activations": self.record_activations,
-            "bus": self.bus.to_dict(),
-            "open": {str(b): r.to_dict() for b, r in self._open.items()},
+            "rbl_histogram": _encode_histogram(self.rbl_histogram),
+            "read_only_rbl_histogram": _encode_histogram(
+                self.read_only_rbl_histogram
+            ),
+            "bus_busy": self.bus_busy,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelStats":
         """Inverse of :meth:`to_dict`."""
-        stats = cls(
+        return cls(
             reads_served=data["reads_served"],
             writes_served=data["writes_served"],
             activations=data["activations"],
@@ -271,20 +214,20 @@ class ChannelStats:
             requests_dropped=data["requests_dropped"],
             reads_arrived=data["reads_arrived"],
             writes_arrived=data["writes_arrived"],
-            rbl_histogram=Counter(
-                {int(k): v for k, v in data["rbl_histogram"].items()}
+            rbl_histogram=_decode_histogram(data["rbl_histogram"]),
+            read_only_rbl_histogram=_decode_histogram(
+                data["read_only_rbl_histogram"]
             ),
-            activation_log=[
-                ActivationRecord.from_dict(r) for r in data["activation_log"]
-            ],
-            record_activations=data["record_activations"],
-            bus=BusUtilizationTracker.from_dict(data["bus"]),
+            bus_busy=data["bus_busy"],
         )
-        stats._open = {
-            int(b): ActivationRecord.from_dict(r)
-            for b, r in data["open"].items()
-        }
-        return stats
+
+
+def _encode_histogram(histogram: Counter) -> dict[str, int]:
+    return {str(k): v for k, v in sorted(histogram.items())}
+
+
+def _decode_histogram(data: dict[str, int]) -> Counter:
+    return Counter({int(k): v for k, v in data.items()})
 
 
 def merge_rbl_histograms(stats: Iterable[ChannelStats]) -> Counter:

@@ -45,9 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: v4: keys embed the *entire* ``SimSpec.to_dict()`` payload (closing
 #: the silent-stale-cache class: every present and future spec field —
 #: including the new ``ecc``/``faults`` sections and the previously
-#: uncovered ``record_activations``/``telemetry`` flags — is hashed
+#: uncovered observability flags — is hashed
 #: automatically); v3 entries are plain misses.
-CACHE_FORMAT_VERSION = 4
+#: v5: reports hold results only — each channel keeps its counters, its
+#: RBL and read-only RBL histograms and its bus-busy total. Bus
+#: intervals and per-activation records are gone from blobs, and the
+#: spec flag that toggled the records is gone from keys.
+CACHE_FORMAT_VERSION = 5
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -7,6 +7,7 @@ holds the raw numbers for the benchmarks and EXPERIMENTS.md.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -222,22 +223,7 @@ def fig06(
     for app in apps:
         base = runner.run(app, evaluation_schemes()["Baseline"],
                           label="Baseline")
-        read_only = [
-            rec for rec in _all_activations(base) if rec.reads_only
-        ]
-        total_reqs = sum(rec.rbl for rec in _all_activations(base)) or 1
-        total_acts = len(_all_activations(base)) or 1
-        by_rbl: dict[int, int] = {}
-        for rec in read_only:
-            by_rbl[rec.rbl] = by_rbl.get(rec.rbl, 0) + 1
-        cum_req = cum_act = 0.0
-        points = [(0.0, 0.0)]
-        for rbl in sorted(by_rbl):
-            count = by_rbl[rbl]
-            cum_req += rbl * count / total_reqs
-            cum_act += count / total_acts
-            points.append((cum_req, cum_act))
-        curves[app] = points
+        curves[app] = activation_cdf(base)
     blocks = []
     for app, points in curves.items():
         rows = [[f"{x:.4f}", f"{y:.4f}"] for x, y in points[:12]]
@@ -254,8 +240,28 @@ def fig06(
     return ExperimentResult("fig06", "\n\n".join(blocks), {"curves": curves})
 
 
-def _all_activations(report):
-    return [rec for s in report.channel_stats for rec in s.activation_log]
+def activation_cdf(report) -> list[tuple[float, float]]:
+    """Fig. 6 curve of one run: cumulative (request, activation)
+    fractions of the read-only activations, RBL ascending.
+
+    The denominators count *every* activation: requests total
+    ``sum(rbl * count)`` and activations ``sum(count)`` over the full
+    RBL histogram.
+    """
+    hist = report.rbl_histogram
+    read_only: Counter = Counter()
+    for stats in report.channel_stats:
+        read_only.update(stats.read_only_rbl_histogram)
+    total_reqs = sum(rbl * count for rbl, count in hist.items()) or 1
+    total_acts = sum(hist.values()) or 1
+    cum_req = cum_act = 0.0
+    points = [(0.0, 0.0)]
+    for rbl in sorted(read_only):
+        count = read_only[rbl]
+        cum_req += rbl * count / total_reqs
+        cum_act += count / total_acts
+        points.append((cum_req, cum_act))
+    return points
 
 
 # ----------------------------------------------------------------------

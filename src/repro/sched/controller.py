@@ -191,7 +191,7 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _window_tick(self) -> None:
         now = self.engine.now
-        busy = self.channel.stats.bus.busy_since_last_query(now)
+        busy = self.channel.bus.busy_since_last_query(now)
         bwutil = busy / self._window_cycles
         self.dms.on_window(bwutil)
         self.ams.set_halted(self.dms.wants_ams_halted)

@@ -860,13 +860,13 @@ class ServiceDaemon:
             return
         self.hub.inc(SERVICE_SUBMITTED)
         self.jobs[job.id] = job
-        self.journal.record_submit(job)
         if outcome == ADMIT_CACHED:
-            self.journal.record_state(job)
+            self.journal.record_cached(job)
             self.hub.inc(SERVICE_COMPLETED)
             self.breaker.record_success(job.key)
             status = 200
         else:
+            self.journal.record_submit(job)
             status = 202
         self._respond(
             writer,

@@ -294,7 +294,7 @@ class SimReport:
         """Mean DRAM data-bus utilisation over the run."""
         if self.elapsed_mem_cycles <= 0:
             return 0.0
-        busy = sum(s.bus.total_busy for s in self.channel_stats)
+        busy = sum(s.bus_busy for s in self.channel_stats)
         return busy / (self.elapsed_mem_cycles * len(self.channel_stats))
 
     # ------------------------------------------------------------------

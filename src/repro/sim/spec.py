@@ -46,8 +46,6 @@ class SimSpec:
     config: Optional[GPUConfig] = None
     #: Replay the AMS drop log through the workload kernel afterwards.
     measure_error: bool = False
-    #: Keep per-channel activation logs on the report (RBL histograms).
-    record_activations: bool = True
     #: Attach a windowed-telemetry hub (``report.timeline``; window
     #: :data:`~repro.sim.system.SPEC_TELEMETRY_WINDOW_CYCLES`).
     telemetry: bool = False
@@ -88,17 +86,16 @@ class SimSpec:
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-ready form (round-trips via :meth:`from_dict`).
 
-        The ``tenants`` key is emitted only when a mix is present:
-        single-tenant payloads (and therefore their v4 cache keys and
-        the :meth:`content_seed` that anchors fault-injection sites)
-        stay byte-identical to the pre-tenant format.
+        The ``tenants`` key is emitted only when a mix is present, so
+        single-tenant payloads (and therefore their cache keys and the
+        :meth:`content_seed` that anchors fault-injection sites) carry
+        no trace of the tenant section.
         """
         payload = {
             "scheduler": encode(self.scheduler),
             "device": self.device,
             "config": encode(self.config) if self.config is not None else None,
             "measure_error": self.measure_error,
-            "record_activations": self.record_activations,
             "telemetry": self.telemetry,
             "ecc": self.ecc,
             "faults": encode(self.faults),
@@ -130,7 +127,7 @@ class SimSpec:
             )
         known = {
             "scheduler", "device", "config", "measure_error",
-            "record_activations", "telemetry", "ecc", "faults", "tenants",
+            "telemetry", "ecc", "faults", "tenants",
         }
         unknown = set(data) - known
         if unknown:
@@ -148,7 +145,6 @@ class SimSpec:
                 GPUConfig, data.get("config"), path="config"
             ),
             measure_error=bool(data.get("measure_error", False)),
-            record_activations=bool(data.get("record_activations", True)),
             telemetry=bool(data.get("telemetry", False)),
             ecc=str(data.get("ecc", "none")),
             faults=(

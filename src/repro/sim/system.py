@@ -49,7 +49,6 @@ class GPUSystem:
         config: Optional[GPUConfig] = None,
         scheduler: Optional[SchedulerConfig] = None,
         *,
-        record_activations: bool = True,
         log_commands: bool = False,
         telemetry: Optional[MetricsHub] = None,
     ) -> None:
@@ -67,7 +66,6 @@ class GPUSystem:
                 ch,
                 mapping,
                 self.config.timings,
-                record_activations=record_activations,
                 log_commands=log_commands,
                 refresh_enabled=self.config.refresh_enabled,
             )
@@ -128,7 +126,6 @@ class GPUSystem:
         system = cls(
             config=spec.resolve_config(),
             scheduler=spec.scheduler,
-            record_activations=spec.record_activations,
             log_commands=log_commands,
             telemetry=telemetry,
         )

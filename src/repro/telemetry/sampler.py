@@ -88,7 +88,7 @@ class WindowSeries:
         """
         end = max(elapsed, self._last_end)
         for channel in self.system.channels:
-            end = max(end, channel.stats.bus.last_end)
+            end = max(end, channel.bus.last_end)
         if end > self._last_end + _EPS:
             self._sample(self._last_end, end)
             self._last_end = end
@@ -103,7 +103,7 @@ class WindowSeries:
         system = self.system
         span = end - start
         busy_per_channel = [
-            ch.stats.bus.busy_in(start, end) for ch in system.channels
+            ch.bus.busy_in(start, end) for ch in system.channels
         ]
         busy = sum(busy_per_channel)
         n_channels = len(system.channels)

@@ -1,12 +1,17 @@
 """Differential lock on the composable scheduler-policy refactor.
 
-``tests/golden/seed_reports.json`` pins the full ``SimReport.to_dict()``
+``tests/golden/seed_reports.json`` pins the ``SimReport.to_dict()``
 payload of eight paper schemes, produced by the monolithic controller
-the seed shipped with. These tests assert the refactored pipeline —
-registry selectors, activation gates, drop policies, :class:`SimSpec` —
-reproduces every payload *field-identically*, and that the named
-``gddr5`` device preset is indistinguishable from the legacy no-device
-path.
+the seed shipped with, in the layout reports then had (bus intervals,
+profiler cursor and activation log per channel). These tests assert the
+refactored pipeline — registry selectors, activation gates, drop
+policies, :class:`SimSpec` — reproduces every payload
+*field-identically*: the summary through ``to_dict()``, the rest
+through the live system of the same run
+(``scripts/regen_seed_reports.py:legacy_payload``). They also assert
+that the named ``gddr5`` device preset is indistinguishable from the
+legacy no-device path, and that the runner's report and the Fig. 6
+curve agree with the pinned runs.
 
 The fixture must never be regenerated to make these tests pass: a diff
 here means the refactor changed simulator behaviour.
@@ -14,11 +19,13 @@ here means the refactor changed simulator behaviour.
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.config.scheduler import AMSMode, SchedulerConfig
+from repro.harness.experiments import activation_cdf
 from repro.harness.runner import Runner
 from repro.sim.spec import SimSpec
 
@@ -52,14 +59,61 @@ def test_fixture_and_scheme_set_agree() -> None:
     assert set(GOLDEN["reports"]) == set(SCHEMES)
 
 
-@pytest.mark.parametrize("scheme_id", sorted(SCHEMES))
-def test_scheme_reproduces_seed_payload(scheme_id: str) -> None:
+def run_fixture_cell(scheme_id: str):
     scheme = SCHEMES[scheme_id]
-    report = make_runner().run(
+    return make_runner().run(
         FIXTURE["workload"], scheme, label=scheme_id,
         measure_error=scheme.ams.mode is not AMSMode.OFF,
     )
-    assert report.to_dict() == GOLDEN["reports"][scheme_id]
+
+
+@pytest.mark.parametrize("scheme_id", sorted(SCHEMES))
+def test_scheme_reproduces_seed_payload(scheme_id: str) -> None:
+    payload = _regen.legacy_payload(SCHEMES[scheme_id])
+    assert payload == GOLDEN["reports"][scheme_id]
+
+
+@pytest.mark.parametrize("scheme_id", sorted(SCHEMES))
+def test_runner_report_is_the_live_runs_summary(scheme_id: str) -> None:
+    """The report the runner caches and serves is the pinned live run's."""
+    live, _system = _regen.simulate(SCHEMES[scheme_id])
+    assert run_fixture_cell(scheme_id).to_dict() == live.to_dict()
+
+
+def legacy_fig06_curve(payload: dict) -> list[tuple[float, float]]:
+    """The Fig. 6 curve as computed from per-activation logs, before
+    reports dropped them."""
+    log = [
+        rec for ch in payload["channel_stats"] for rec in ch["activation_log"]
+    ]
+    total_reqs = sum(rec["rbl"] for rec in log) or 1
+    total_acts = len(log) or 1
+    by_rbl: dict[int, int] = {}
+    for rec in log:
+        if rec["writes"] == 0:
+            by_rbl[rec["rbl"]] = by_rbl.get(rec["rbl"], 0) + 1
+    cum_req = cum_act = 0.0
+    points = [(0.0, 0.0)]
+    for rbl in sorted(by_rbl):
+        count = by_rbl[rbl]
+        cum_req += rbl * count / total_reqs
+        cum_act += count / total_acts
+        points.append((cum_req, cum_act))
+    return points
+
+
+@pytest.mark.parametrize("scheme_id", sorted(SCHEMES))
+def test_fig06_curve_from_histograms_matches_activation_logs(
+    scheme_id: str,
+) -> None:
+    golden = GOLDEN["reports"][scheme_id]
+    report = run_fixture_cell(scheme_id)
+    for stats, legacy in zip(report.channel_stats, golden["channel_stats"]):
+        assert stats.read_only_rbl_histogram == Counter(
+            rec["rbl"] for rec in legacy["activation_log"]
+            if rec["writes"] == 0
+        )
+    assert activation_cdf(report) == legacy_fig06_curve(golden)
 
 
 @pytest.mark.parametrize("scheme_id", sorted(SCHEMES))
@@ -73,14 +127,9 @@ def test_disabled_ecc_hook_is_field_identical(scheme_id: str) -> None:
     """
     from repro.config.faults import FaultConfig
 
-    scheme = SCHEMES[scheme_id]
-    report = make_runner(
-        spec=SimSpec(ecc="none", faults=FaultConfig())
-    ).run(
-        FIXTURE["workload"], scheme, label=scheme_id,
-        measure_error=scheme.ams.mode is not AMSMode.OFF,
+    payload = _regen.legacy_payload(
+        SCHEMES[scheme_id], SimSpec(ecc="none", faults=FaultConfig())
     )
-    payload = report.to_dict()
     assert "ecc" not in payload
     assert "ecc_nj" not in payload["energy"]
     assert payload == GOLDEN["reports"][scheme_id]
@@ -88,7 +137,7 @@ def test_disabled_ecc_hook_is_field_identical(scheme_id: str) -> None:
 
 def test_named_gddr5_device_is_field_identical_to_default() -> None:
     """Selecting --device gddr5 must change nothing but the cache key."""
-    report = make_runner(spec=SimSpec(device="gddr5")).run(
-        FIXTURE["workload"], SchedulerConfig(), label="frfcfs@gddr5"
+    payload = _regen.legacy_payload(
+        SchedulerConfig(), SimSpec(device="gddr5")
     )
-    assert report.to_dict() == GOLDEN["reports"]["frfcfs"]
+    assert payload == GOLDEN["reports"]["frfcfs"]

@@ -112,10 +112,11 @@ class TestStatsIntegration:
         t = ch.switch_row(bank, 1, now=0.0)
         t, _ = ch.issue_column(bank, is_write=False, now=t)
         t, _ = ch.issue_column(bank, is_write=True, now=t)
-        ch.finalize()
-        (rec,) = ch.stats.activation_log
-        assert rec.reads == 1 and rec.writes == 1
-        assert not rec.reads_only
+        t = ch.switch_row(bank, 2, now=t)  # closes row 1: RBL 2, one write
+        ch.issue_column(bank, is_write=False, now=t)
+        ch.finalize()  # closes row 2: RBL 1, reads only
+        assert ch.stats.rbl_histogram == {2: 1, 1: 1}
+        assert ch.stats.read_only_rbl_histogram == {1: 1}
 
     def test_bus_utilization_tracked(self) -> None:
         ch = make_channel()
@@ -123,7 +124,8 @@ class TestStatsIntegration:
         bank = ch.banks[0]
         t = ch.switch_row(bank, 1, now=0.0)
         ch.issue_column(bank, is_write=False, now=t)
-        assert ch.stats.bus.total_busy == tm.tBURST
+        assert ch.stats.bus_busy == tm.tBURST
+        assert ch.bus.busy_in(0.0, ch.bus.last_end) == tm.tBURST
 
 
 class TestCommandLogLegality:

@@ -17,13 +17,14 @@ class TestBusUtilizationTracker:
         bus = BusUtilizationTracker()
         bus.add(0, 4)
         bus.add(10, 14)
-        assert bus.total_busy == 8
+        assert bus.busy_in(0, 100) == 8
 
     def test_empty_interval_ignored(self) -> None:
         bus = BusUtilizationTracker()
         bus.add(5, 5)
         bus.add(6, 4)
-        assert bus.total_busy == 0
+        assert bus.busy_in(0, 100) == 0
+        assert bus.last_end == 0.0
 
     def test_windowed_queries_split_intervals(self) -> None:
         bus = BusUtilizationTracker()
@@ -47,7 +48,7 @@ class TestBusUtilizationTracker:
         total = sum(
             bus.busy_since_last_query(t) for t in (5, 25, 33, 70, 1000)
         )
-        assert total == pytest.approx(bus.total_busy)
+        assert total == pytest.approx(40)
 
     def test_busy_in_is_pure(self) -> None:
         bus = BusUtilizationTracker()
@@ -113,19 +114,26 @@ class TestChannelStats:
 
     def test_finalize_is_idempotent(self) -> None:
         s = ChannelStats()
-        s.on_activate(0, 5, 0.0)
+        s.on_activate(0)
         s.on_column(0, is_write=False)
         s.finalize()
         s.finalize()
         assert s.rbl_histogram[1] == 1
+        assert s.read_only_rbl_histogram[1] == 1
         assert s.activations == 1
 
-    def test_record_activations_flag(self) -> None:
-        s = ChannelStats(record_activations=False)
-        s.on_activate(0, 5, 0.0)
+    def test_round_trip_holds_results_only(self) -> None:
+        s = ChannelStats()
+        s.on_activate(0)
+        s.on_column(0, is_write=True)
+        s.on_activate(1)
+        s.bus_busy = 8.0
         s.finalize()
-        assert not s.activation_log
-        assert s.rbl_histogram[0] == 1
+        payload = s.to_dict()
+        assert ChannelStats.from_dict(payload) == s
+        assert payload["rbl_histogram"] == {"0": 1, "1": 1}
+        assert payload["read_only_rbl_histogram"] == {"0": 1}
+        assert payload["bus_busy"] == 8.0
 
 
 class TestEnergyModel:

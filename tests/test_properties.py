@@ -200,7 +200,7 @@ def test_telemetry_window_invariants(
     # bus occupancy (windowing only re-associates the float additions,
     # so the tolerance covers rounding alone), and hence to
     # report.bwutil scaled back up.
-    total_busy = sum(ch.stats.bus.total_busy for ch in system.channels)
+    total_busy = sum(ch.stats.bus_busy for ch in system.channels)
     assert sum(s.busy_cycles for s in timeline) == pytest.approx(
         total_busy, abs=1e-6
     )

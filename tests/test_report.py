@@ -1,12 +1,15 @@
 """Unit tests for SimReport metrics and normalization helpers."""
 
+import json
 from collections import Counter
 
 import pytest
 
 from repro.config import gddr5_energy
+from repro.config.scheduler import SchedulerConfig
 from repro.dram.energy import EnergyBreakdown
 from repro.dram.stats import ChannelStats
+from repro.harness.runner import Runner
 from repro.sim.report import L2Summary, SimReport
 
 
@@ -27,7 +30,7 @@ def make_report(
     stats.requests_dropped = dropped
     stats.reads_arrived = arrived_reads
     stats.rbl_histogram = Counter({5: acts})
-    stats.bus.add(0, 100)
+    stats.bus_busy = 100.0
     return SimReport(
         workload="T",
         scheme="S",
@@ -102,3 +105,33 @@ class TestSummary:
         assert "app error" not in text
         r.application_error = 0.07
         assert "app error" in r.summary()
+
+
+class TestReportShape:
+    """Reports hold results, not simulator state: every per-channel
+    section is a fixed set of counters and histograms, so a report's
+    size does not grow with the number of bursts or activations."""
+
+    @pytest.fixture(scope="class")
+    def fixture_report(self) -> SimReport:
+        # The golden fixture cell (tests/golden/seed_reports.json).
+        return Runner(
+            scale=0.25, seed=11, verbose=False, cache=None
+        ).run("synthetic", SchedulerConfig())
+
+    def test_channel_stats_hold_no_per_record_data(
+        self, fixture_report: SimReport
+    ) -> None:
+        for entry in fixture_report.to_dict()["channel_stats"]:
+            for name, value in entry.items():
+                assert not isinstance(value, list), name
+                if isinstance(value, dict):
+                    assert all(
+                        isinstance(v, int) for v in value.values()
+                    ), name
+
+    def test_fixture_report_serializes_small(
+        self, fixture_report: SimReport
+    ) -> None:
+        blob = json.dumps(fixture_report.to_dict(), separators=(",", ":"))
+        assert len(blob) <= 4096

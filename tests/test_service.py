@@ -287,6 +287,8 @@ def test_malformed_spec_is_400_naming_the_key_path(tmp_path):
                 "synthetic",
                 spec={"scheduler": {"dms": {"bogus": 1}}},
             )
+        with pytest.raises(ConfigError, match="record_activations"):
+            client.submit("synthetic", spec={"record_activations": False})
         with pytest.raises(ConfigError, match="unknown workload"):
             client.submit("no-such-app")
     finally:

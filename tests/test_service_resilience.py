@@ -302,6 +302,44 @@ class TestJournalHardening:
         assert journal._unsynced == 0
         journal.close()
 
+    def test_cache_hit_is_journaled_without_fsync(self, tmp_path, monkeypatch):
+        syncs = []
+        monkeypatch.setattr(
+            "repro.service.jobs.os.fsync", lambda fd: syncs.append(fd)
+        )
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(path)
+        hit = _job(seed=1)
+        hit.cached = True
+        hit.transition(JobState.DONE)
+        journal.record_cached(hit)
+        assert syncs == [] and journal._unsynced == 2
+        # The next synced record persists the hit's lines with it.
+        journal.record_submit(_job(seed=2))
+        assert len(syncs) == 1 and journal._unsynced == 0
+        journal.close()
+        by_seed = {job.seed: job for job in replay_journal(path)}
+        assert by_seed[1].state is JobState.DONE and by_seed[1].cached
+        assert by_seed[2].state is JobState.QUEUED
+
+    def test_running_state_is_journaled_without_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        syncs = []
+        monkeypatch.setattr(
+            "repro.service.jobs.os.fsync", lambda fd: syncs.append(fd)
+        )
+        journal = JobJournal(tmp_path / "j.jsonl")
+        job = _job()
+        journal.record_submit(job)
+        job.transition(JobState.RUNNING)
+        journal.record_state(job)
+        assert len(syncs) == 1
+        job.transition(JobState.DONE)
+        journal.record_state(job)
+        assert len(syncs) == 2 and journal._unsynced == 0
+        journal.close()
+
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = JobJournal(path, fsync="batch")

@@ -1,8 +1,7 @@
-"""SimSpec serialisation, config codec, and cache-v4 key tests."""
+"""SimSpec serialisation, config codec, and cache-key tests."""
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +20,8 @@ from repro.config.scheduler import (
 from repro.config.tenants import TenantMixSpec, TenantSpec
 from repro.errors import ConfigError
 from repro.harness.cache import CACHE_FORMAT_VERSION, ResultCache, cache_key
-from repro.sim.report import SimReport
+from repro.harness.runner import Runner
 from repro.sim.spec import SimSpec
-
-GOLDEN = Path(__file__).resolve().parent / "golden" / "seed_reports.json"
 
 
 def fancy_spec() -> SimSpec:
@@ -39,7 +36,6 @@ def fancy_spec() -> SimSpec:
         device="hbm",
         config=dataclasses.replace(GPUConfig(), num_sms=8),
         measure_error=True,
-        record_activations=False,
         telemetry=True,
         ecc="secded",
         faults=FaultConfig(enabled=True, p_bit=1e-6, scale=2.0),
@@ -82,7 +78,6 @@ random_specs = st.builds(
         [None, dataclasses.replace(GPUConfig(), num_sms=8)]
     ),
     measure_error=st.booleans(),
-    record_activations=st.booleans(),
     telemetry=st.booleans(),
     ecc=st.sampled_from(["none", "parity", "secded", "bch"]),
     faults=st.builds(
@@ -156,6 +151,12 @@ class TestSimSpec:
     def test_default_round_trip(self) -> None:
         assert SimSpec.from_dict(SimSpec().to_dict()) == SimSpec()
 
+    def test_removed_fields_are_unknown(self) -> None:
+        # Reports always carry the RBL histograms now; the flag that
+        # once toggled per-activation logs is rejected like any typo.
+        with pytest.raises(ConfigError, match="record_activations"):
+            SimSpec.from_dict({"record_activations": False})
+
     def test_from_dict_rejects_non_dict(self) -> None:
         with pytest.raises(ConfigError, match="dict"):
             SimSpec.from_dict(["not", "a", "dict"])
@@ -211,7 +212,6 @@ class TestSpecProperties:
             "device": "gddr5",
             "config": dataclasses.replace(GPUConfig(), num_sms=16),
             "measure_error": False,
-            "record_activations": True,
             "telemetry": False,
             "ecc": "bch",
             "faults": FaultConfig(),
@@ -232,8 +232,8 @@ class TestSpecProperties:
 
 
 class TestCacheV4:
-    def test_format_version_is_4(self) -> None:
-        assert CACHE_FORMAT_VERSION == 4
+    def test_format_version_is_5(self) -> None:
+        assert CACHE_FORMAT_VERSION == 5
 
     def base_key(self, spec: SimSpec = SimSpec(), **overrides) -> str:
         kwargs = dict(app="synthetic", scale=0.25, seed=11, spec=spec)
@@ -296,12 +296,11 @@ class TestCacheV4:
         )
 
     def test_previous_format_blob_is_a_miss(self, tmp_path) -> None:
-        # A v3 blob written by the previous build must be a plain miss —
+        # A blob written by the previous build must be a plain miss —
         # not an error and not quarantined (the blob is healthy).
-        report = SimReport.from_dict(
-            json.loads(GOLDEN.read_text(encoding="utf-8"))
-                ["reports"]["frfcfs"]
-        )
+        report = Runner(
+            scale=0.25, seed=11, verbose=False, cache=None
+        ).run("synthetic", SchedulerConfig())
         cache = ResultCache(tmp_path, enabled=True)
         key = self.base_key()
         path = cache.store(key, report)

@@ -67,7 +67,6 @@ def base_spec() -> SimSpec:
         device="hbm",
         config=dataclasses.replace(GPUConfig(), num_sms=8),
         measure_error=True,
-        record_activations=False,
         telemetry=True,
         ecc="secded",
         faults=FaultConfig(enabled=True, p_bit=1e-6, scale=2.0),
@@ -89,7 +88,6 @@ ALTERNATES = {
     "device": "gddr5",
     "config": None,
     "measure_error": False,
-    "record_activations": True,
     "telemetry": False,
     "ecc": "bch",
     "faults": FaultConfig(),
