@@ -12,8 +12,9 @@ with workers that outlive individual matrices:
   reused across ``run_matrix`` calls, so a benchmark loop or a sweep of
   sweeps pays the spawn/import cost once.
 * **Batched dispatch** — :meth:`submit_many` groups cells into one
-  message per worker; the worker streams one result message back per
-  cell as it completes, so batching costs no latency at the tail.
+  message per worker, a contiguous run of the batch each; the worker
+  streams one result message back per cell as it completes, so
+  batching costs no latency at the tail.
 * **Codec wire format** — cells travel as the JSON-shaped dicts of
   :mod:`repro.config.codec` (the same encoding the disk cache and the
   service API use), and reports come back as ``SimReport.to_dict()``
@@ -253,11 +254,15 @@ class WarmPool:
     ) -> list[Future]:
         """Dispatch cells batched per worker, one pipe message each.
 
-        Assignment is least-loaded: while the supervising runner keeps
-        at most ``size`` cells in flight (the timeout mode), every cell
-        is guaranteed its own worker — which is what makes the runner's
-        ``submit time + timeout`` deadline accurate and its kill
-        surgical.
+        The items are cut into at most ``size`` contiguous chunks of
+        near-equal length, and each chunk goes to the least-loaded
+        worker. A matrix batch arrives in row order, so a worker gets
+        whole rows wherever the split allows and builds and traces each
+        row's workload once. While the supervising runner keeps at most
+        ``size`` cells in flight (the timeout mode), every chunk is one
+        cell and every cell is guaranteed its own worker — which is what
+        makes the runner's ``submit time + timeout`` deadline accurate
+        and its kill surgical.
         """
         futures: list[Future] = []
         batches: dict[int, list[tuple[int, dict]]] = {}
@@ -265,21 +270,27 @@ class WarmPool:
             if self.closed:
                 raise RuntimeError("warm pool is shut down")
             workers = self._workers
-            for item in items:
-                task_id = self._next_id
-                self._next_id += 1
-                future: Future = Future()
+            length, extra = divmod(len(items), len(workers))
+            start = 0
+            for c in range(min(len(workers), len(items))):
+                stop = start + length + (c < extra)
                 target = min(
                     range(len(workers)),
                     key=lambda i: (len(workers[i].inflight), i),
                 )
-                workers[target].inflight[task_id] = future
-                if on_window is not None:
-                    workers[target].sinks[task_id] = on_window
-                batches.setdefault(target, []).append(
-                    (task_id, _encode_item(item))
-                )
-                futures.append(future)
+                worker = workers[target]
+                for item in items[start:stop]:
+                    task_id = self._next_id
+                    self._next_id += 1
+                    future: Future = Future()
+                    worker.inflight[task_id] = future
+                    if on_window is not None:
+                        worker.sinks[task_id] = on_window
+                    batches.setdefault(target, []).append(
+                        (task_id, _encode_item(item))
+                    )
+                    futures.append(future)
+                start = stop
         for target, batch in batches.items():
             worker = workers[target]
             try:

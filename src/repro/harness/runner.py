@@ -91,6 +91,7 @@ from repro.telemetry.hub import (
     MetricsHub,
 )
 from repro.telemetry.series import WindowSample
+from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
 #: Stack frames kept per cell by the ``--profile`` capture (sorted by
@@ -146,14 +147,36 @@ class CellSpec:
         }
 
 
-def _workload_of(cell: CellSpec):
+#: ``(workload coordinates, workload)`` of the last cell built in this
+#: process. The cells of a matrix row differ only in their scheme, so
+#: consecutive cells of a row share one build, one trace
+#: (:meth:`~repro.workloads.base.Workload.streams`) and one exact kernel
+#: run (:meth:`~repro.workloads.base.Workload.run_exact`).
+_row_slot: Optional[tuple[tuple, Workload]] = None
+
+
+def _workload_of(cell: CellSpec) -> Workload:
     """The cell's workload: the tenant mix's roster when the spec names
-    one (``app`` then only labels the cell), else the registered app."""
+    one (``app`` then only labels the cell), else the registered app.
+
+    The last workload built is kept for the next cell with the same
+    coordinates; a different cell replaces it."""
+    global _row_slot
+    coords = (cell.app, cell.scale, cell.seed, cell.spec.tenants)
+    slot = _row_slot
+    if slot is not None and slot[0] == coords:
+        return slot[1]
+    _row_slot = None  # release the previous row before building
     if cell.spec.tenants is not None:
         from repro.workloads.tenant_mix import TenantMix
 
-        return TenantMix(cell.spec.tenants, scale=cell.scale, seed=cell.seed)
-    return get_workload(cell.app, scale=cell.scale, seed=cell.seed)
+        workload = TenantMix(
+            cell.spec.tenants, scale=cell.scale, seed=cell.seed
+        )
+    else:
+        workload = get_workload(cell.app, scale=cell.scale, seed=cell.seed)
+    _row_slot = (coords, workload)
+    return workload
 
 
 def _simulate_cell(
@@ -488,7 +511,7 @@ class Runner:
         )
         start = time.perf_counter()
         report = system.run(
-            workload.warp_streams(system.config),
+            workload.streams(system.config),
             workload_name=workload.name,
             stream_tenants=getattr(workload, "stream_tenants", None),
         )
@@ -664,8 +687,9 @@ class Runner:
         Two dispatch regimes:
 
         * no ``cell_timeout`` — the whole queue is dispatched at once,
-          batched one pipe message per worker, and results stream back
-          as they complete;
+          batched one pipe message per worker (a contiguous run of the
+          queue each, so a row's cells mostly share one worker's
+          workload slot), and results stream back as they complete;
         * with a ``cell_timeout`` — at most ``workers`` cells are in
           flight, each on its own worker (the pool assigns
           least-loaded), so every submitted future is actually

@@ -7,7 +7,9 @@ providing
   workload instance is fully deterministic) and register them in the
   :class:`~repro.workloads.layout.AddressSpace`, marking the
   programmer-annotated approximable arrays (paper Listing 1);
-* ``warp_streams()`` — the per-warp memory trace over those arrays;
+* ``warp_streams()`` — the per-warp memory trace over those arrays
+  (callers that may simulate one instance several times use
+  :meth:`Workload.streams`, which keeps the last trace);
 * ``run_kernel()`` — the real computation, used both for the reference
   output and for the approximation replay (dropped lines' values replaced
   by the VP's donor lines).
@@ -57,6 +59,8 @@ class Workload(abc.ABC):
         self.space = AddressSpace()
         self.arrays: dict[str, np.ndarray] = {}
         self._exact: Optional[np.ndarray] = None
+        #: (config, streams) of the last :meth:`streams` call.
+        self._streams: Optional[tuple[GPUConfig, list[list[WarpOp]]]] = None
         self._build()
         if not self.arrays:
             raise WorkloadError(f"{self.name}: _build registered no arrays")
@@ -120,6 +124,21 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def run_kernel(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
         """Execute the computation on the given array values."""
+
+    def streams(self, config: GPUConfig) -> list[list[WarpOp]]:
+        """:meth:`warp_streams` for ``config``, kept for the last config.
+
+        A trace depends only on the workload and the GPU config the
+        system resolved (device presets change the address mapping), so
+        the cells of one matrix row can replay one trace. Streams are
+        lists of frozen ops that the frontend only iterates.
+        """
+        cached = self._streams
+        if cached is not None and cached[0] == config:
+            return cached[1]
+        streams = self.warp_streams(config)
+        self._streams = (config, streams)
+        return streams
 
     # ------------------------------------------------------------------
     # Output-quality pipeline

@@ -88,18 +88,50 @@ class Ray(Workload):
         light = light / np.linalg.norm(light)
         for cx, cy, cz, r in spheres:
             center = np.array([cx, cy, cz])
-            b = dirs @ center
+            block = _screen_box(cx, cy, cz, r, side)
+            if block is None:
+                continue
+            sub = dirs[block]
+            b = sub @ center
             c = center @ center - r * r
             disc = b * b - c
             hit = disc > 0
             t = b - np.sqrt(np.where(hit, disc, 0.0))
-            valid = hit & (t > 0) & (t < best_t)
+            valid = hit & (t > 0) & (t < best_t[block])
             if not valid.any():
                 continue
-            point = dirs * t[..., None]
+            point = sub * t[..., None]
             normal = (point - center) / r
             lam = np.clip(normal @ light, 0.0, 1.0)
-            shade = np.where(valid, lam, shade)
-            best_t = np.where(valid, t, best_t)
+            shade[block] = np.where(valid, lam, shade[block])
+            best_t[block] = np.where(valid, t, best_t[block])
         # Ambient term modulated by the (approximable) scene texture.
         return (0.2 * scene / scene.max() + 0.8 * shade).astype(np.float64)
+
+
+def _screen_box(cx, cy, cz, r, side: int):
+    """The pixel block (row slice, column slice) a sphere can cover.
+
+    Every point of the sphere lies in the box [cx±r]×[cy±r]×[cz±r]; in
+    front of the pinhole (``cz - r > 0``) the slopes x/z and y/z are
+    monotone over that box, so its corners bound the pixel coordinates
+    of every ray that can hit it. The block is widened by one pixel
+    against rounding. A sphere reaching behind the pinhole gets the full
+    frame; one entirely off screen gets ``None``.
+    """
+    near, far = cz - r, cz + r
+    if near <= 0:
+        return (slice(None), slice(None))
+    half = (side - 1) / 2.0
+
+    def pixels(lo, hi):
+        slopes = (lo / near, lo / far, hi / near, hi / far)
+        first = max(int(np.floor((min(slopes) + 1.0) * half)) - 1, 0)
+        last = min(int(np.ceil((max(slopes) + 1.0) * half)) + 1, side - 1)
+        return slice(first, last + 1) if first <= last else None
+
+    rows = pixels(cy - r, cy + r)
+    cols = pixels(cx - r, cx + r)
+    if rows is None or cols is None:
+        return None
+    return (rows, cols)

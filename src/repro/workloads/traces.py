@@ -98,11 +98,29 @@ def dram_row_groups(
     """
     spec = space.spec(name)
     first_line = spec.base - spec.base % space.line_bytes
-    grouped: dict[tuple[int, int, int], list[int]] = {}
-    for addr in range(first_line, spec.end, space.line_bytes):
-        d = mapping.decode(addr)
-        grouped.setdefault((d.channel, d.bank, d.row), []).append(addr)
-    return list(grouped.values())
+    addrs = np.arange(first_line, spec.end, space.line_bytes, dtype=np.int64)
+    if addrs.size == 0:
+        return []
+    # AddressMapping.decode over the whole walk at once.
+    chunk, offset = np.divmod(addrs, mapping.interleave_bytes)
+    channel = chunk % mapping.num_channels
+    local = (chunk // mapping.num_channels) * mapping.interleave_bytes + offset
+    row_blk = local // mapping.row_size_bytes
+    bank = row_blk % mapping.banks_per_channel
+    row = row_blk // mapping.banks_per_channel
+    if mapping.scheme == "permuted":
+        bank ^= row & (mapping.banks_per_channel - 1)
+    key = (row * mapping.num_channels + channel) \
+        * mapping.banks_per_channel + bank
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    # Number the groups by first appearance, then split the walk by group
+    # (the stable sort keeps each group's lines ascending).
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    group = rank[inverse]
+    ordered = addrs[np.argsort(group, kind="stable")]
+    bounds = np.cumsum(np.bincount(group))[:-1]
+    return [part.tolist() for part in np.split(ordered, bounds)]
 
 
 def row_visit_streams(
