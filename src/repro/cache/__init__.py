@@ -5,7 +5,6 @@ from repro.cache.l2cache import (
     L2AccessResult,
     L2Cache,
     L2Outcome,
-    LineState,
 )
 from repro.cache.mshr import MSHREntry, MSHRFile
 
@@ -14,7 +13,6 @@ __all__ = [
     "L2AccessResult",
     "L2Cache",
     "L2Outcome",
-    "LineState",
     "MSHREntry",
     "MSHRFile",
 ]

@@ -52,21 +52,23 @@ class L2Outcome(enum.Enum):
     STALL = "stall"  # MSHR file full -> caller must retry
 
 
-@dataclass(slots=True)
-class LineState:
-    """Metadata of a resident line."""
-
-    line_addr: int
-    dirty: bool = False
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class L2AccessResult:
     """Outcome of :meth:`L2Cache.access` plus any side effects."""
 
     outcome: L2Outcome
     #: Line address of a dirty eviction (a DRAM write-back), if any.
     writeback_line: Optional[int] = None
+
+
+# Every outcome but a dirty-evicting store allocation carries no
+# write-back, so :meth:`L2Cache.access` hands out these shared results
+# instead of allocating one per access.
+_HIT = L2AccessResult(L2Outcome.HIT)
+_MISS = L2AccessResult(L2Outcome.MISS)
+_MERGED = L2AccessResult(L2Outcome.MISS_MERGED)
+_NO_FETCH = L2AccessResult(L2Outcome.MISS_NO_FETCH)
+_STALL = L2AccessResult(L2Outcome.STALL)
 
 
 class L2Cache:
@@ -77,9 +79,9 @@ class L2Cache:
         self.num_sets = config.num_sets
         self.assoc = config.associativity
         self.line_bytes = config.line_bytes
-        # Per-set LRU: OrderedDict maps line_addr -> LineState,
+        # Per-set LRU: OrderedDict maps line_addr -> dirty flag,
         # most-recently-used at the end.
-        self._sets: list[OrderedDict[int, LineState]] = [
+        self._sets: list[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
         self.mshrs = MSHRFile(config.mshr_entries)
@@ -105,7 +107,6 @@ class L2Cache:
     def access(
         self,
         addr: int,
-        *,
         is_write: bool,
         full_line: bool = False,
         waiter: Any = None,
@@ -113,32 +114,35 @@ class L2Cache:
         """Perform one access; returns the outcome and any write-back.
 
         ``waiter`` is an opaque token recorded in the MSHR on a miss and
-        handed back by :meth:`fill`.
+        handed back by :meth:`fill`. The result is shared between calls
+        unless it carries a write-back; treat it as read-only.
         """
-        line = self.line_of(addr)
-        way = self._sets[self.set_of(line)]
-        state = way.get(line)
-        if state is not None:
+        line = addr // self.line_bytes
+        way = self._sets[line % self.num_sets]
+        if line in way:
             way.move_to_end(line)
             if is_write:
-                state.dirty = True
+                way[line] = True
             self.hits += 1
-            return L2AccessResult(L2Outcome.HIT)
+            return _HIT
 
         self.misses += 1
-        if self.mshrs.lookup(line) is not None:
-            self.mshrs.merge(line, waiter)
-            return L2AccessResult(L2Outcome.MISS_MERGED)
+        mshrs = self.mshrs
+        if mshrs.lookup(line) is not None:
+            mshrs.merge(line, waiter)
+            return _MERGED
 
         if is_write and full_line:
             # Allocate directly; no fetch needed for a fully written line.
-            writeback = self._insert(line, dirty=True)
+            writeback = self._insert(line, True)
+            if writeback is None:
+                return _NO_FETCH
             return L2AccessResult(L2Outcome.MISS_NO_FETCH, writeback)
 
-        if self.mshrs.full:
-            return L2AccessResult(L2Outcome.STALL)
-        self.mshrs.allocate(line, waiter)
-        return L2AccessResult(L2Outcome.MISS)
+        if mshrs.full:
+            return _STALL
+        mshrs.allocate(line, waiter)
+        return _MISS
 
     def fill(
         self, addr: int, *, mark_dirty: bool = False
@@ -150,12 +154,12 @@ class L2Cache:
         :data:`DIRTY_FILL` sentinel among the waiters forces a dirty
         install and is filtered from the returned list.
         """
-        line = self.line_of(addr)
+        line = addr // self.line_bytes
         waiters = self.mshrs.complete(line)
-        if any(w is DIRTY_FILL for w in waiters):
+        if DIRTY_FILL in waiters:
             mark_dirty = True
             waiters = [w for w in waiters if w is not DIRTY_FILL]
-        writeback = self._insert(line, dirty=mark_dirty)
+        writeback = self._insert(line, mark_dirty)
         self.fills += 1
         return waiters, writeback
 
@@ -169,15 +173,15 @@ class L2Cache:
         waiters = self.mshrs.complete(line)
         return [w for w in waiters if w is not DIRTY_FILL]
 
-    def _insert(self, line: int, *, dirty: bool) -> Optional[int]:
-        way = self._sets[self.set_of(line)]
+    def _insert(self, line: int, dirty: bool) -> Optional[int]:
+        way = self._sets[line % self.num_sets]
         writeback = None
         if len(way) >= self.assoc:
-            victim_addr, victim = way.popitem(last=False)
-            if victim.dirty:
+            victim_addr, victim_dirty = way.popitem(last=False)
+            if victim_dirty:
                 self.writebacks += 1
                 writeback = victim_addr
-        way[line] = LineState(line_addr=line, dirty=dirty)
+        way[line] = dirty
         return writeback
 
     # ------------------------------------------------------------------

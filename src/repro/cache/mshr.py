@@ -56,9 +56,11 @@ class MSHRFile:
             )
         if self.full:
             raise SimulationError("MSHR file is full")
-        entry = MSHREntry(line_addr=line_addr, waiters=[waiter])
-        self._entries[line_addr] = entry
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        entry = MSHREntry(line_addr, [waiter])
+        entries = self._entries
+        entries[line_addr] = entry
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
         return entry
 
     def merge(self, line_addr: int, waiter: Any) -> MSHREntry:

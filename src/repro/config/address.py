@@ -20,8 +20,14 @@ The decode pipeline for a 128-byte request address is::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.errors import ConfigError
+
+#: ``(channel, bank, bank_group, row, column)`` of one decoded address.
+Coords = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +129,39 @@ class AddressMapping:
             row=row,
             column=in_row // self.access_bytes,
         )
+
+    def decode_array(self, addrs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`decode` over an int64 array of byte addresses at once.
+
+        Returns the ``(channel, bank, bank_group, row, column)`` arrays,
+        element for element equal to the scalar decode.
+        """
+        chunk, offset = np.divmod(addrs, self.interleave_bytes)
+        channel = chunk % self.num_channels
+        local = (chunk // self.num_channels) * self.interleave_bytes + offset
+        row_blk, in_row = np.divmod(local, self.row_size_bytes)
+        bank = row_blk % self.banks_per_channel
+        row = row_blk // self.banks_per_channel
+        if self.scheme == "permuted":
+            bank ^= row & (self.banks_per_channel - 1)
+        return (
+            channel,
+            bank,
+            bank // self.banks_per_group,
+            row,
+            in_row // self.access_bytes,
+        )
+
+    def decode_table(self, addrs: Iterable[int]) -> dict[int, Coords]:
+        """``{addr: (channel, bank, bank_group, row, column)}`` for every
+        distinct address in ``addrs``, decoded in one vectorized pass.
+
+        The simulator builds this once per trace, so no request pays a
+        :meth:`decode` call.
+        """
+        unique = np.unique(np.fromiter(addrs, dtype=np.int64))
+        columns = [part.tolist() for part in self.decode_array(unique)]
+        return dict(zip(unique.tolist(), zip(*columns)))
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (returns the lowest address of the access)."""

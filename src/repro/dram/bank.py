@@ -3,7 +3,8 @@
 Each bank tracks its open row and the earliest legal times for the next
 activate, precharge, and column command. The channel model
 (:mod:`repro.dram.channel`) layers channel-wide constraints (tRRD, tCCD,
-data-bus occupancy) on top.
+data-bus occupancy) on top, and applies a column command's effect on
+these windows itself (``Channel.issue_column``, the hot path).
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class Bank:
         """Earliest legal PRE issue time considering only this bank."""
         return max(now, self.earliest_pre)
 
-    def earliest_column_time(self, now: float, is_write: bool) -> float:
-        """Earliest legal RD/WR issue time considering only this bank."""
-        limit = self.earliest_col_wr if is_write else self.earliest_col_rd
-        return max(now, limit)
-
     def do_activate(self, row: int, t: float) -> None:
         """Apply an ACT issued at ``t`` opening ``row``."""
         tm = self.timings
@@ -71,15 +67,3 @@ class Bank:
         tm = self.timings
         self.open_row = NO_ROW
         self.earliest_act = max(self.earliest_act, t + tm.tRP)
-
-    def do_column(self, t: float, is_write: bool, data_end: float) -> None:
-        """Apply a RD/WR issued at ``t`` whose data burst ends at ``data_end``."""
-        tm = self.timings
-        self.accesses_this_activation += 1
-        if is_write:
-            # Write recovery gates PRE; tCDLR gates a following read.
-            self.earliest_pre = max(self.earliest_pre, data_end + tm.tWR)
-            self.earliest_col_rd = max(self.earliest_col_rd, data_end + tm.tCDLR)
-        else:
-            # Approximate read-to-precharge (tRTP) with the burst length.
-            self.earliest_pre = max(self.earliest_pre, t + tm.tBURST)

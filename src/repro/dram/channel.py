@@ -3,14 +3,18 @@
 The channel exposes two kinds of methods:
 
 * ``*_ready_time`` — pure queries returning the earliest legal issue time
-  for a prospective command, considering bank state, bank-group tCCD,
-  channel tRRD, the one-command-per-cycle command bus, and data-bus
-  occupancy.
+  for a prospective row switch, considering bank state, channel tRRD and
+  the one-command-per-cycle command bus.
 * ``issue_*`` / ``switch_row`` — state mutators that issue the command at
   its ready time and update all constraint windows and statistics.
 
-The memory controller (:mod:`repro.sched.controller`) uses the queries to
-build its candidate list and the mutators to execute the chosen command.
+The memory controller's candidate selectors
+(:mod:`repro.sched.policies.selectors`) fold the same ready-time
+arithmetic inline over the channel's state, and the controller executes
+the chosen command through the mutators. :meth:`Channel.issue_column`,
+the most frequent command, likewise inlines its ready time and the
+bank's column update as ``<`` steps in the order ``max`` took them, so
+every time is bit-equal to the expression form.
 """
 
 from __future__ import annotations
@@ -73,24 +77,6 @@ class Channel:
     # ------------------------------------------------------------------
     # Ready-time queries
     # ------------------------------------------------------------------
-    def column_ready_time(self, bank: Bank, is_write: bool, now: float) -> float:
-        """Earliest issue time for a RD/WR to the open row of ``bank``."""
-        t = bank.earliest_column_time(now, is_write)
-        t = max(t, self._group_earliest_col[bank.bank_group], self._next_cmd_time)
-        data_start = t + self.table.cas[is_write]
-        if data_start < self._bus_free:
-            t += self._bus_free - data_start
-        return t
-
-    def switch_start_time(self, bank: Bank, now: float) -> float:
-        """Earliest issue time of the *first* command of a row switch.
-
-        For an open bank this is the PRE; for a closed bank the ACT.
-        """
-        if bank.is_open:
-            return self.precharge_ready_time(bank, now)
-        return self.activate_ready_time(bank, now)
-
     def precharge_ready_time(self, bank: Bank, now: float) -> float:
         """Earliest legal PRE issue time for an open bank."""
         return max(bank.earliest_precharge_time(now), self._next_cmd_time)
@@ -112,22 +98,56 @@ class Channel:
 
     def issue_column(
         self, bank: Bank, is_write: bool, now: float,
-        *, rid: Optional[int] = None,
+        rid: Optional[int] = None,
     ) -> tuple[float, float]:
         """Issue a RD/WR to the open row; returns ``(cmd_time, data_end)``.
+
+        The command issues at its earliest legal time: the bank's column
+        window (tRCD, tCDLR), the bank group's tCCD and the command bus,
+        then shifted so its data burst starts once the data bus frees.
 
         ``rid`` identifies the memory request being served; when a read
         path is attached it keys the deterministic fault draw for this
         access (reads) or the encode accounting (writes).
         """
         tb = self.table
-        t = self.column_ready_time(bank, is_write, now)
-        data_start = t + tb.cas[is_write]
+        group_col = self._group_earliest_col
+        group = bank.bank_group
+        # max(now, bank window, group window, command bus), in that order.
+        t = bank.earliest_col_wr if is_write else bank.earliest_col_rd
+        if not t > now:
+            t = now
+        g = group_col[group]
+        if g > t:
+            t = g
+        g = self._next_cmd_time
+        if g > t:
+            t = g
+        cas = tb.tCWL if is_write else tb.tCL
+        data_start = t + cas
+        bus_free = self._bus_free
+        if data_start < bus_free:
+            t += bus_free - data_start
+            data_start = t + cas
         data_end = data_start + tb.tBURST
-        self._group_earliest_col[bank.bank_group] = t + tb.tCCD
+        group_col[group] = t + tb.tCCD
         self._bus_free = data_end
         self._next_cmd_time = t + 1
-        bank.do_column(t, is_write, data_end)
+        # The bank's side of the command (recovery windows, RBL count).
+        bank.accesses_this_activation += 1
+        if is_write:
+            # Write recovery gates PRE; tCDLR gates a following read.
+            limit = data_end + tb.tWR
+            if limit > bank.earliest_pre:
+                bank.earliest_pre = limit
+            limit = data_end + tb.tCDLR
+            if limit > bank.earliest_col_rd:
+                bank.earliest_col_rd = limit
+        else:
+            # Approximate read-to-precharge (tRTP) with the burst length.
+            limit = t + tb.tBURST
+            if limit > bank.earliest_pre:
+                bank.earliest_pre = limit
         self.stats.on_column(bank.index, is_write)
         self.stats.bus_busy += data_end - data_start
         self.bus.add(data_start, data_end)

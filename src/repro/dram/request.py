@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.config.address import AddressMapping
 
@@ -97,6 +97,16 @@ class MemoryRequest:
     def age(self, now: float) -> float:
         """Cycles this request has spent in the pending queue."""
         return now - self.enqueue_time
+
+
+def request_id_stream() -> Iterator[int]:
+    """The live request-id stream that ``rid`` defaults draw from.
+
+    A simulation hoists it once per run and passes ``next(stream)`` as
+    the ``rid`` of each request it builds; :func:`reset_request_ids`
+    replaces the stream, so hoist it after the reset.
+    """
+    return _rids
 
 
 def reset_request_ids() -> None:

@@ -65,6 +65,8 @@ class GPUFrontend:
             )
         self._engine = engine
         self._config = config
+        #: Core cycles per memory cycle, for op compute durations.
+        self._core_per_mem = config.core_to_mem_ratio
         self._mem_access = mem_access_fn
         self._mlp = max(1, config.max_outstanding_ops_per_warp)
         self.warps: list[Warp] = []
@@ -112,18 +114,27 @@ class GPUFrontend:
                 self._finish(warp)
             return
         warp.state = WarpState.COMPUTING
-        delay = self._config.core_to_mem(op.compute_cycles)
-        self._engine.after(delay, lambda: self._issue(warp, op))
+        # GPUConfig.core_to_mem, with the clock ratio hoisted.
+        delay = op.compute_cycles / self._core_per_mem
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        engine = self._engine
+        engine.push(engine.now + delay, lambda: self._issue(warp, op))
 
     def _issue(self, warp: Warp, op: WarpOp) -> None:
         rt = self._rt[warp.warp_id]
-        loads = sum(1 for a in op.accesses if not a.is_write)
+        accesses = op.accesses
+        loads = 0
+        for access in accesses:
+            if not access.is_write:
+                loads += 1
         if loads:
             rt.pending.append([op, loads])
             warp.outstanding_loads += loads
             warp.state = WarpState.WAITING_MEM
-        for access in op.accesses:
-            self._mem_access(access, warp)
+        mem_access = self._mem_access
+        for access in accesses:
+            mem_access(access, warp)
         if not loads:
             self._retire_op(warp, op)
             self._advance(warp)

@@ -24,22 +24,21 @@ class Crossbar:
         port_cycles: float = 1.0,
     ) -> None:
         self._engine = engine
+        self._push = engine.push
         self._latency = latency_mem_cycles
         self._port_cycles = port_cycles
         self._port_free = [0.0] * num_ports
-        self.packets = 0
-        self.total_queuing = 0.0
 
     def deliver(self, port: int, fn) -> None:
-        """Send a packet toward ``port``; ``fn`` runs on arrival."""
-        now = self._engine.now
-        start = max(now, self._port_free[port])
-        self._port_free[port] = start + self._port_cycles
-        self.total_queuing += start - now
-        self.packets += 1
-        self._engine.at(start + self._latency, fn)
+        """Send a packet toward ``port``; ``fn`` runs on arrival.
 
-    @property
-    def mean_queuing(self) -> float:
-        """Average port-queuing delay per packet (memory cycles)."""
-        return self.total_queuing / self.packets if self.packets else 0.0
+        Packets reserve their output port in call order: a packet
+        starts once the port is free, ``max(now, port_free)``.
+        """
+        now = self._engine.now
+        port_free = self._port_free
+        start = port_free[port]
+        if not start > now:
+            start = now
+        port_free[port] = start + self._port_cycles
+        self._push(start + self._latency, fn)

@@ -94,19 +94,34 @@ class MemoryController:
         )
         self.drops: list[DropRecord] = []
         self._next_wake: Optional[float] = None
-        self._wake_handle: int = -1
-        # Candidate memo between a service pass and its wake-up. Ready
-        # times are ``max(now, constraint)``: if candidate A won at t0
-        # with ready ra > t0, then at the wake time ra — with no state
-        # change in between — every rival's key is unchanged (a rival
-        # with an earlier ready would already have won at t0), so
-        # re-selecting returns A again. Every mutation path into the
-        # queue/channel/gate re-enters ``_service`` (submit, the window
-        # tick, command issue inside the loop), and ``_service``
-        # rewrites the memo at each of its return points, so the value
-        # read by ``_on_wake`` is always the latest selection.
+        self._wake_handle = None
+        # Candidate memo between a service pass and its wake-up: the
+        # wake issues the candidate the last pass selected instead of
+        # folding again. Every mutation path into the queue/channel/
+        # gate re-enters ``_service`` (submit, the window tick, command
+        # issue inside the loop), and ``_service`` rewrites the memo at
+        # each of its return points, so ``_on_wake`` reads the latest
+        # selection. The memo is part of the model, not a cache of a
+        # re-select: a fresh fold at the wake time can return another
+        # key. A column candidate's ready time is shifted by the data
+        # bus (``t += bus_free - ds``), and that sum rounds differently
+        # for different ``now``; and a wake within ``_EPS`` of a
+        # pending one fires at the pending time. Both make near-equal
+        # ready times trade places (scale 0.5, seed 1: 66 of the Fig. 12
+        # matrix's wakes see a different key, 6 a different command).
+        # The same rounding is why ``submit`` runs the full fold: one
+        # that folded only the new request's bank against the memo
+        # changes LPS's reports (see DESIGN.md §5).
         self._cached_candidate = None
         self._line_bytes = config.l2.line_bytes
+        # Predictors that ignore fills (the default nearest-line VP)
+        # keep the column-issue path free of a no-op call.
+        self._on_fill: Optional[Callable[[int], None]] = (
+            predictor.on_fill
+            if predictor is not None
+            and type(predictor).on_fill is not ValuePredictor.on_fill
+            else None
+        )
         self.ams.set_halted(self.dms.wants_ams_halted)
         # The profiling tick follows the *dynamic* units' window size;
         # a disabled unit's (default) window must not stretch it.
@@ -227,10 +242,8 @@ class MemoryController:
         # command issue below falls back to a fresh selection.
         now = self.engine.now
         channel = self.channel
-        queue = self.queue
         select = self.selector.select
         notify = self._notify_issue
-        may_drop = self.ams.may_drop
         tenants = self.tenants
         refresh_enabled = channel.refresh_enabled
         best = cached
@@ -253,17 +266,30 @@ class MemoryController:
                 self._wake_at(ready)
                 return
             if kind == "col":
-                self._issue_column(bank, request)
+                is_write = request.is_write
+                _, data_end = channel.issue_column(
+                    bank, is_write, now, request.rid
+                )
+                self.queue.remove(request, now)
+                if tenants is not None:
+                    tenants.on_served(request)
+                if not is_write:
+                    if self._on_fill is not None:
+                        self._on_fill(request.addr // self._line_bytes)
+                    self.engine.push(
+                        data_end,
+                        lambda r=request: self.reply_fn(r, False, None),
+                    )
             elif kind == "close":
                 channel.issue_precharge(bank, now)
             elif kind == "pre":
                 # Dropping instead of precharging leaves the row open.
-                if may_drop(queue, bank.index, request.row):
+                if self.ams.may_drop(self.queue, bank.index, request.row):
                     self._drop_row(bank.index, request.row)
                 else:
                     channel.issue_precharge(bank, now)
             else:  # "act"
-                if may_drop(queue, bank.index, request.row):
+                if self.ams.may_drop(self.queue, bank.index, request.row):
                     self._drop_row(bank.index, request.row)
                 else:
                     channel.issue_activate(bank, request.row, now)
@@ -272,21 +298,6 @@ class MemoryController:
             if notify is not None:
                 notify(kind, bank.index, request)
             best = None  # state changed: the next pass re-selects
-
-    def _issue_column(self, bank, request: MemoryRequest) -> None:
-        now = self.engine.now
-        _, data_end = self.channel.issue_column(
-            bank, request.is_write, now, rid=request.rid
-        )
-        self.queue.remove(request, now)
-        if self.tenants is not None:
-            self.tenants.on_served(request)
-        if not request.is_write:
-            if self.predictor is not None:
-                self.predictor.on_fill(request.addr // self._line_bytes)
-            self.engine.at(
-                data_end, lambda r=request: self.reply_fn(r, False, None)
-            )
 
     def _drop_row(self, bank_idx: int, row: int) -> None:
         """Drop every pending request to (bank, row); VP answers them.
@@ -319,7 +330,7 @@ class MemoryController:
                     channel=self.channel.channel_id,
                 )
             )
-            self.engine.at(
+            self.engine.push(
                 now + i,
                 lambda r=victim, d=donor: self.reply_fn(r, True, d),
             )
@@ -350,7 +361,8 @@ class MemoryController:
                 return
             self.engine.cancel(self._wake_handle)
         self._next_wake = time
-        self._wake_handle = self.engine.at(time, self._on_wake)
+        # ``time`` is a ready time past ``now``: no clamp needed.
+        self._wake_handle = self.engine.push(time, self._on_wake)
 
     def _on_wake(self) -> None:
         self._next_wake = None

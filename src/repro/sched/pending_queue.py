@@ -5,7 +5,15 @@ three indexes so every scheduler query is O(1) or O(pending-per-row):
 
 * global FIFO order (for FCFS age),
 * per-bank FIFO order (FR-FCFS picks the oldest request per bank),
-* per-(bank, row) membership (row-hit detection and pending-RBL counts).
+* per-(bank, row) FIFO membership (row-hit detection and pending-RBL
+  counts), one ``row -> FIFO`` dict per bank so a lookup hashes an int,
+  not a ``(bank, row)`` tuple.
+
+The per-bank and per-row FIFOs are plain lists, so the selectors read a
+bucket's oldest request as ``bucket[0]``. Requests leave a row bucket
+from its head (every selector issues a row's oldest hit, and a drop
+takes the whole row), and a bank bucket holds a handful of requests, so
+removal by identity stays cheap.
 
 Requests arriving while the queue is full wait in an unbounded ingress
 FIFO; the scheduler cannot see them (this is exactly the visibility limit
@@ -32,13 +40,15 @@ class PendingQueue:
             raise SchedulingError("queue capacity must be positive")
         self.capacity = capacity
         self.num_banks = num_banks
-        # Python dicts preserve insertion order: each dict below is a FIFO
-        # with O(1) membership and removal.
+        # Python dicts preserve insertion order: the global FIFO is a
+        # dict keyed by rid, with O(1) membership and removal.
         self._fifo: dict[int, MemoryRequest] = {}
-        self._by_bank: list[dict[int, MemoryRequest]] = [
+        self._by_bank: list[list[MemoryRequest]] = [
+            [] for _ in range(num_banks)
+        ]
+        self._by_row: list[dict[int, list[MemoryRequest]]] = [
             {} for _ in range(num_banks)
         ]
-        self._by_row: dict[tuple[int, int], dict[int, MemoryRequest]] = {}
         # Live index of non-empty per-bank buckets, kept sorted so the
         # scheduler scan visits banks in ascending index order (the
         # deterministic tie-break order) without touching empty buckets.
@@ -70,7 +80,7 @@ class PendingQueue:
     # ------------------------------------------------------------------
     def offer(self, request: MemoryRequest, now: float) -> bool:
         """Present an arriving request; returns True if admitted now."""
-        if self.full:
+        if len(self._fifo) >= self.capacity:
             self._ingress.append(request)
             self.total_deferred += 1
             return False
@@ -80,35 +90,54 @@ class PendingQueue:
     def _admit(self, request: MemoryRequest, now: float) -> None:
         request.enqueue_time = now
         rid = request.rid
-        if rid in self._fifo:
+        fifo = self._fifo
+        if rid in fifo:
             raise SchedulingError(f"request {rid} enqueued twice")
-        self._fifo[rid] = request
-        bank_bucket = self._by_bank[request.bank]
+        fifo[rid] = request
+        bank = request.bank
+        bank_bucket = self._by_bank[bank]
         if not bank_bucket:
-            insort(self._pending_banks, request.bank)
-        bank_bucket[rid] = request
-        self._by_row.setdefault(request.bank_row, {})[rid] = request
+            insort(self._pending_banks, bank)
+        bank_bucket.append(request)
+        rows = self._by_row[bank]
+        row_bucket = rows.get(request.row)
+        if row_bucket is None:
+            rows[request.row] = [request]
+        else:
+            row_bucket.append(request)
         self.total_admitted += 1
-        if len(self._fifo) > self.peak_occupancy:
-            self.peak_occupancy = len(self._fifo)
+        if len(fifo) > self.peak_occupancy:
+            self.peak_occupancy = len(fifo)
 
     def remove(self, request: MemoryRequest, now: float) -> None:
         """Remove a request (issued to DRAM or dropped by AMS)."""
         rid = request.rid
-        if rid not in self._fifo:
-            raise SchedulingError(f"request {rid} not in pending queue")
-        del self._fifo[rid]
-        bank_bucket = self._by_bank[request.bank]
-        del bank_bucket[rid]
+        try:
+            del self._fifo[rid]
+        except KeyError:
+            raise SchedulingError(
+                f"request {rid} not in pending queue"
+            ) from None
+        bank = request.bank
+        bank_bucket = self._by_bank[bank]
+        if bank_bucket[0] is request:
+            del bank_bucket[0]
+        else:
+            _unlink(bank_bucket, request)
         if not bank_bucket:
-            self._pending_banks.remove(request.bank)
-        row_bucket = self._by_row[request.bank_row]
-        del row_bucket[rid]
+            self._pending_banks.remove(bank)
+        rows = self._by_row[bank]
+        row_bucket = rows[request.row]
+        if row_bucket[0] is request:
+            del row_bucket[0]
+        else:
+            _unlink(row_bucket, request)
         if not row_bucket:
-            del self._by_row[request.bank_row]
+            del rows[request.row]
         # Admit deferred arrivals into the freed entry.
-        while self._ingress and not self.full:
-            self._admit(self._ingress.popleft(), now)
+        ingress = self._ingress
+        while ingress and len(self._fifo) < self.capacity:
+            self._admit(ingress.popleft(), now)
 
     # ------------------------------------------------------------------
     # Scheduler queries
@@ -119,7 +148,8 @@ class PendingQueue:
 
     def oldest_for_bank(self, bank: int) -> Optional[MemoryRequest]:
         """The oldest visible request destined to ``bank``."""
-        return next(iter(self._by_bank[bank].values()), None)
+        bucket = self._by_bank[bank]
+        return bucket[0] if bucket else None
 
     def bank_has_pending(self, bank: int) -> bool:
         """Whether any visible request targets ``bank``."""
@@ -128,14 +158,12 @@ class PendingQueue:
     def hits_for(self, bank: int, row: int) -> list[MemoryRequest]:
         """Visible requests that would hit the open ``row`` of ``bank``,
         in FIFO order."""
-        return list(self._by_row.get((bank, row), {}).values())
+        return list(self._by_row[bank].get(row, ()))
 
     def oldest_hit_for(self, bank: int, row: int) -> Optional[MemoryRequest]:
         """Oldest visible request hitting the open ``row`` of ``bank``."""
-        bucket = self._by_row.get((bank, row))
-        if not bucket:
-            return None
-        return next(iter(bucket.values()))
+        bucket = self._by_row[bank].get(row)
+        return bucket[0] if bucket else None
 
     def row_pending_count(self, bank: int, row: int) -> int:
         """Number of visible requests destined to ``(bank, row)``.
@@ -143,7 +171,7 @@ class PendingQueue:
         This is the RBL the scheduler *observes* for a prospective
         activation — the quantity AMS compares against Th_RBL.
         """
-        return len(self._by_row.get((bank, row), {}))
+        return len(self._by_row[bank].get(row, ()))
 
     def row_all_reads(self, bank: int, row: int) -> bool:
         """True when every visible request to ``(bank, row)`` is a read.
@@ -151,18 +179,18 @@ class PendingQueue:
         AMS only drops rows whose pending requests are all global reads
         (Section IV-C: writes must not be approximated away).
         """
-        bucket = self._by_row.get((bank, row))
+        bucket = self._by_row[bank].get(row)
         if not bucket:
             return False
-        return all(not r.is_write for r in bucket.values())
+        return all(not r.is_write for r in bucket)
 
     def row_all_approximable(self, bank: int, row: int) -> bool:
         """True when every visible request to ``(bank, row)`` carries the
         programmer's approximable annotation."""
-        bucket = self._by_row.get((bank, row))
+        bucket = self._by_row[bank].get(row)
         if not bucket:
             return False
-        return all(r.approximable for r in bucket.values())
+        return all(r.approximable for r in bucket)
 
     def iter_pending(self) -> Iterable[MemoryRequest]:
         """All visible requests in FIFO order (diagnostics)."""
@@ -192,7 +220,9 @@ class PendingQueue:
     def check_invariants(self) -> None:
         """Validate index consistency (used by property-based tests)."""
         count_bank = sum(len(b) for b in self._by_bank)
-        count_row = sum(len(b) for b in self._by_row.values())
+        count_row = sum(
+            len(b) for rows in self._by_row for b in rows.values()
+        )
         if not (len(self._fifo) == count_bank == count_row):
             raise SchedulingError(
                 "index desync: "
@@ -203,9 +233,31 @@ class PendingQueue:
             raise SchedulingError(
                 f"pending-bank index desync: {self._pending_banks} != {live}"
             )
-        for (bank, row), bucket in self._by_row.items():
-            for req in bucket.values():
-                if req.bank != bank or req.row != row:
-                    raise SchedulingError("row index holds mismatched request")
+        for bank, bucket in enumerate(self._by_bank):
+            for req in bucket:
+                if req.bank != bank:
+                    raise SchedulingError("bank index holds mismatched request")
                 if req.rid not in self._fifo:
-                    raise SchedulingError("row index holds unknown request")
+                    raise SchedulingError("bank index holds unknown request")
+        for bank, rows in enumerate(self._by_row):
+            for row, bucket in rows.items():
+                if not bucket:
+                    raise SchedulingError("row index holds an empty bucket")
+                for req in bucket:
+                    if req.bank != bank or req.row != row:
+                        raise SchedulingError(
+                            "row index holds mismatched request"
+                        )
+                    if req.rid not in self._fifo:
+                        raise SchedulingError(
+                            "row index holds unknown request"
+                        )
+
+
+def _unlink(bucket: list[MemoryRequest], request: MemoryRequest) -> None:
+    """Remove ``request`` from ``bucket`` by identity."""
+    for i, queued in enumerate(bucket):
+        if queued is request:
+            del bucket[i]
+            return
+    raise SchedulingError(f"request {request.rid} missing from its bucket")

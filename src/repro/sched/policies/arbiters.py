@@ -78,7 +78,7 @@ class TenantArbiter(CandidateSelector):
         tCL = self._tCL
         tCWL = self._tCWL
         gate_on = self._gate_enabled
-        earliest_eligible = self._earliest_eligible
+        delay = self._gate.current_delay
         gated = self._gated
         rank = self._rank
         b_key = None
@@ -87,9 +87,9 @@ class TenantArbiter(CandidateSelector):
             bank = banks[bank_idx]
             open_row = bank.open_row
             if open_row != _NO_ROW:
-                bucket = by_row.get((bank_idx, open_row))
+                bucket = by_row[bank_idx].get(open_row)
                 if bucket:
-                    hit = next(iter(bucket.values()))
+                    hit = bucket[0]
                     is_write = hit.is_write
                     t = (
                         bank.earliest_col_wr
@@ -116,7 +116,7 @@ class TenantArbiter(CandidateSelector):
                         b_bank = bank
                         b_req = hit
                     continue
-                oldest = next(iter(by_bank[bank_idx].values()))
+                oldest = by_bank[bank_idx][0]
                 t = bank.earliest_pre
                 if t < now:
                     t = now
@@ -124,7 +124,7 @@ class TenantArbiter(CandidateSelector):
                     t = next_cmd
                 kind = "pre"
             else:
-                oldest = next(iter(by_bank[bank_idx].values()))
+                oldest = by_bank[bank_idx][0]
                 t = bank.earliest_act
                 if t < now:
                     t = now
@@ -136,7 +136,7 @@ class TenantArbiter(CandidateSelector):
             # Per-tenant gate scoping: the row-opening command is aged
             # only when the owning tenant's class permits gating.
             if gate_on and gated[oldest.tenant_id]:
-                g = earliest_eligible(oldest.enqueue_time)
+                g = oldest.enqueue_time + delay
                 if t < g:
                     t = g
             key = (

@@ -91,22 +91,16 @@ class CandidateSelector(ABC):
         bus, last ACT) are rebound per issue and are re-read inside each
         ``select`` call instead.
         """
-        self._queue = queue
         self._channel = channel
         self._banks = channel.banks
         self._gate = gate
-        self._earliest_eligible = gate.earliest_eligible
         #: The gate's OFF mode maps enqueue_time -> enqueue_time, and a
         #: visible request always enqueued at or before ``now`` — below
         #: every ready time — so a disabled gate is skipped entirely.
         #: ``enabled`` is mode-derived and constant for a run.
         self._gate_enabled = gate.enabled
-        self._banks_with_pending = queue.banks_with_pending
-        self._oldest_for_bank = queue.oldest_for_bank
         self._oldest_hit_for = queue.oldest_hit_for
-        self._column_ready_time = channel.column_ready_time
         self._precharge_ready_time = channel.precharge_ready_time
-        self._activate_ready_time = channel.activate_ready_time
         # Live internal indexes (aliases; read-only in select).
         self._pending_banks = queue.banks_with_pending()
         self._by_bank = queue._by_bank
@@ -180,7 +174,12 @@ class ActivationGate(ABC):
     @abstractmethod
     def earliest_eligible(self, enqueue_time: float) -> float:
         """Earliest time a row-opening request enqueued at
-        ``enqueue_time`` may be considered for scheduling."""
+        ``enqueue_time`` may be considered for scheduling.
+
+        For an enabled gate this must be ``enqueue_time +
+        current_delay``: the selectors fold that sum inline, reading
+        :attr:`current_delay` once per call.
+        """
 
     def on_window(self, bwutil: float) -> None:
         """Consume one profiling window's bus utilisation."""

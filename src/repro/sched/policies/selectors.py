@@ -59,7 +59,7 @@ class FRFCFSSelector(CandidateSelector):
         tCL = self._tCL
         tCWL = self._tCWL
         gate_on = self._gate_enabled
-        earliest_eligible = self._earliest_eligible
+        delay = self._gate.current_delay
         b_ready = _INF
         b_prio = 2
         b_enq = 0.0
@@ -68,9 +68,9 @@ class FRFCFSSelector(CandidateSelector):
             bank = banks[bank_idx]
             open_row = bank.open_row
             if open_row != _NO_ROW:
-                bucket = by_row.get((bank_idx, open_row))
+                bucket = by_row[bank_idx].get(open_row)
                 if bucket:
-                    hit = next(iter(bucket.values()))
+                    hit = bucket[0]
                     is_write = hit.is_write
                     t = (
                         bank.earliest_col_wr
@@ -99,7 +99,7 @@ class FRFCFSSelector(CandidateSelector):
                         b_bank = bank
                         b_req = hit
                     continue
-                oldest = next(iter(by_bank[bank_idx].values()))
+                oldest = by_bank[bank_idx][0]
                 t = bank.earliest_pre
                 if t < now:
                     t = now
@@ -107,7 +107,7 @@ class FRFCFSSelector(CandidateSelector):
                     t = next_cmd
                 kind = "pre"
             else:
-                oldest = next(iter(by_bank[bank_idx].values()))
+                oldest = by_bank[bank_idx][0]
                 t = bank.earliest_act
                 if t < now:
                     t = now
@@ -120,7 +120,7 @@ class FRFCFSSelector(CandidateSelector):
             # new row: PRE for an open bank, ACT otherwise.
             enq = oldest.enqueue_time
             if gate_on:
-                g = earliest_eligible(enq)
+                g = enq + delay
                 if t < g:
                     t = g
             if t < b_ready or (
@@ -163,7 +163,7 @@ class FCFSSelector(CandidateSelector):
         tCL = self._tCL
         tCWL = self._tCWL
         gate_on = self._gate_enabled
-        earliest_eligible = self._earliest_eligible
+        delay = self._gate.current_delay
         b_ready = _INF
         b_prio = 2
         b_enq = 0.0
@@ -172,7 +172,7 @@ class FCFSSelector(CandidateSelector):
             bank = banks[bank_idx]
             open_row = bank.open_row
             is_open = open_row != _NO_ROW
-            oldest = next(iter(by_bank[bank_idx].values()))
+            oldest = by_bank[bank_idx][0]
             enq = oldest.enqueue_time
             if is_open and oldest.row == open_row:
                 is_write = oldest.is_write
@@ -218,7 +218,7 @@ class FCFSSelector(CandidateSelector):
                     t = next_cmd
                 kind = "act"
             if gate_on:
-                g = earliest_eligible(enq)
+                g = enq + delay
                 if t < g:
                     t = g
             if t < b_ready or (
@@ -272,7 +272,7 @@ class FRFCFSCapSelector(CandidateSelector):
         tCL = self._tCL
         tCWL = self._tCWL
         gate_on = self._gate_enabled
-        earliest_eligible = self._earliest_eligible
+        delay = self._gate.current_delay
         cap = self._cap
         streaks = self._streaks
         b_ready = _INF
@@ -283,8 +283,8 @@ class FRFCFSCapSelector(CandidateSelector):
             bank = banks[bank_idx]
             open_row = bank.open_row
             if open_row != _NO_ROW:
-                bucket = by_row.get((bank_idx, open_row))
-                hit = next(iter(bucket.values())) if bucket else None
+                bucket = by_row[bank_idx].get(open_row)
+                hit = bucket[0] if bucket else None
                 if hit is not None:
                     streak = streaks.get(bank_idx)
                     if (
@@ -292,7 +292,7 @@ class FRFCFSCapSelector(CandidateSelector):
                         and streak[0] == open_row
                         and streak[1] >= cap
                     ):
-                        oldest = next(iter(by_bank[bank_idx].values()))
+                        oldest = by_bank[bank_idx][0]
                         if oldest.row != open_row:
                             hit = None  # capped: force the row switch
                 if hit is not None:
@@ -323,7 +323,7 @@ class FRFCFSCapSelector(CandidateSelector):
                         b_bank = bank
                         b_req = hit
                     continue
-                oldest = next(iter(by_bank[bank_idx].values()))
+                oldest = by_bank[bank_idx][0]
                 t = bank.earliest_pre
                 if t < now:
                     t = now
@@ -331,7 +331,7 @@ class FRFCFSCapSelector(CandidateSelector):
                     t = next_cmd
                 kind = "pre"
             else:
-                oldest = next(iter(by_bank[bank_idx].values()))
+                oldest = by_bank[bank_idx][0]
                 t = bank.earliest_act
                 if t < now:
                     t = now
@@ -342,7 +342,7 @@ class FRFCFSCapSelector(CandidateSelector):
                 kind = "act"
             enq = oldest.enqueue_time
             if gate_on:
-                g = earliest_eligible(enq)
+                g = enq + delay
                 if t < g:
                     t = g
             if t < b_ready or (

@@ -7,17 +7,23 @@ ties, making runs fully deterministic.
 The ordering structure is pluggable (``backend=``): the default is the
 bucketed timer wheel of :mod:`repro.sim.events`, with the seed's global
 binary heap kept as the reference implementation. Both share tombstone
-cancellation: :meth:`Engine.at` returns an opaque handle that
-:meth:`Engine.cancel` invalidates in O(1) by blanking the entry's slot;
-a tombstoned entry is discarded unexecuted — and uncounted — when it
-surfaces, so superseded wake-ups cost one pop instead of a full
-callback, and :attr:`live_event_count` stays exact.
+cancellation: :meth:`Engine.at` returns the scheduled entry itself as an
+opaque handle, which :meth:`Engine.cancel` invalidates in O(1) by
+blanking the entry's callback slot; a tombstoned entry is discarded
+unexecuted — and uncounted — when it surfaces, so superseded wake-ups
+cost one pop instead of a full callback, and :attr:`live_event_count`
+stays exact.
+
+Hot callers that already know their time is not in the past (a
+non-negative delay from ``now``, a crossbar arrival, a data burst end)
+schedule through :attr:`Engine.push`, the backend's own push, and skip
+the clamp and the extra call of :meth:`at`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import make_scheduler
@@ -38,8 +44,10 @@ class Engine:
             backend = os.environ.get(_BACKEND_ENV, "wheel")
         self.backend = backend
         self._sched = make_scheduler(backend)
-        self._push = self._sched.push  # hoisted: one call per event
-        self._seq = 0
+        #: ``push(time, fn) -> handle`` for a ``time`` not before
+        #: :attr:`now` (unchecked): the backend's bound push, so a hot
+        #: caller pays one call per event.
+        self.push = self._sched.push
         self.now: float = 0.0
         self.events_processed = 0
         self.events_cancelled = 0
@@ -50,32 +58,31 @@ class Engine:
         #: :class:`~repro.sim.system.GPUSystem` installs its snapshot.
         self.diagnostics: Optional[Callable[[], str]] = None
 
-    def at(self, time: float, fn: Event) -> int:
+    def at(self, time: float, fn: Event) -> Any:
         """Schedule ``fn`` to run at absolute ``time`` (clamped to now).
 
         Returns a handle accepted by :meth:`cancel`.
         """
         if time < self.now:
             time = self.now
-        seq = self._seq
-        self._seq = seq + 1
-        self._push(time, seq, fn)
-        return seq
+        return self.push(time, fn)
 
-    def after(self, delay: float, fn: Event) -> int:
+    def after(self, delay: float, fn: Event) -> Any:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(self.now + delay, fn)
+        return self.push(self.now + delay, fn)
 
-    def cancel(self, handle: int) -> None:
+    def cancel(self, handle: Any) -> None:
         """Invalidate a scheduled event; it is dropped when it surfaces.
 
-        Cancelling a handle that already executed (or was never issued)
-        is harmless and leaves the live-event count untouched.
+        Cancelling a handle that already executed or was already
+        cancelled, or a value that is no handle at all, is harmless: it
+        counts in neither :attr:`events_cancelled` nor the live-event
+        count.
         """
-        self._sched.cancel(handle)
-        self.events_cancelled += 1
+        if type(handle) is list and self._sched.cancel(handle):
+            self.events_cancelled += 1
 
     @property
     def idle(self) -> bool:
@@ -99,7 +106,7 @@ class Engine:
         *live* activity telemetry — reading it costs nothing on the
         event loop.
         """
-        return self._seq
+        return self._sched.seq
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when idle."""

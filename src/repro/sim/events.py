@@ -16,24 +16,21 @@ One scheduling interface, two implementations (see DESIGN.md §5):
   the Hypothesis suite in ``tests/test_event_scheduling.py`` asserts
   both backends execute any schedule in the identical order.
 
-Both share the same cancellation design: an O(1) *slot tombstone*.
-``cancel`` looks the handle up in the live-entry table, blanks the
-entry's callback in place, and drops it from the table — no heap
-surgery, no set scan when events surface, and the live count stays
-exact (cancelling an already-executed handle is a no-op). Tombstoned
-slots are discarded unexecuted when they reach the head.
+Both share the same cancellation design: an O(1) *slot tombstone*. An
+entry is a mutable 3-list ``[time, seq, fn]`` and is itself the handle
+``push`` returns, so no side table maps handles to entries. ``cancel``
+blanks the entry's callback in place — no heap surgery, no set scan when
+events surface — and a tombstoned slot is discarded unexecuted when it
+reaches the head. An entry's callback is blanked the same way when it
+runs, so cancelling an executed handle is a no-op and the live count
+stays exact. List comparison never reaches the callback slot because
+``seq`` is unique.
 
-Entries are mutable 3-lists ``[time, seq, fn]`` so the tombstone can be
-written in place; list comparison never reaches the callback slot
-because ``seq`` is unique.
-
-The pop protocol is split into :meth:`head` (prune tombstones, return
-the next live entry without removing it) and :meth:`pop_head` (remove
-the entry :meth:`head` just returned), so idle/peek queries can check
-the head time before committing to the pop — exactly the seed
-semantics. The engine's run loop itself goes through :meth:`drain`,
-which each backend implements with its own structures inlined: the
-dispatch overhead of head/pop calls per event is measurable at the
+:meth:`head` prunes tombstones and returns the next live entry without
+removing it, so idle/peek queries can check the head time without
+committing to a pop. The engine's run loop itself goes through
+:meth:`drain`, which each backend implements with its own structures
+inlined: the dispatch overhead of a call per event is measurable at the
 simulator's event rates, and ``drain`` is the only place allowed to
 know the backend's internals.
 """
@@ -60,24 +57,25 @@ WHEEL_HORIZON = 512
 class HeapScheduler:
     """Single global binary heap ordered by ``(time, seq)``."""
 
-    __slots__ = ("_heap", "_entries", "live")
+    __slots__ = ("_heap", "seq", "live")
 
     def __init__(self) -> None:
         self._heap: list[Entry] = []
-        #: handle (seq) -> live entry, for O(1) tombstone cancellation.
-        self._entries: dict[int, Entry] = {}
+        #: Sequence number of the next pushed entry (the tie-break).
+        self.seq = 0
         #: Live (scheduled, uncancelled, unexecuted) entry count.
         self.live = 0
 
-    def push(self, time: float, seq: int, fn: Event) -> None:
+    def push(self, time: float, fn: Event) -> Entry:
+        seq = self.seq
+        self.seq = seq + 1
         entry = [time, seq, fn]
-        self._entries[seq] = entry
         heappush(self._heap, entry)
         self.live += 1
+        return entry
 
-    def cancel(self, seq: int) -> bool:
-        entry = self._entries.pop(seq, None)
-        if entry is None:
+    def cancel(self, entry: Entry) -> bool:
+        if entry[2] is None:
             return False
         entry[2] = None
         self.live -= 1
@@ -92,11 +90,6 @@ class HeapScheduler:
                 return heap[0]
         return None
 
-    def pop_head(self) -> None:
-        entry = heappop(self._heap)
-        del self._entries[entry[1]]
-        self.live -= 1
-
     def drain(
         self,
         engine,
@@ -105,12 +98,11 @@ class HeapScheduler:
     ) -> tuple[int, bool]:
         """Run the event loop; returns ``(processed, hit_max_events)``.
 
-        Semantically identical to repeated head/pop_head calls — same
-        ``(time, seq)`` order, same ``until`` cutoff *before* the pop —
-        with the backend internals inlined into the loop.
+        Same ``(time, seq)`` order and the same ``until`` cutoff
+        *before* the pop as repeated :meth:`head` calls, with the heap
+        inlined into the loop.
         """
         heap = self._heap
-        entries = self._entries
         processed = 0
         while heap:
             entry = heap[0]
@@ -122,7 +114,7 @@ class HeapScheduler:
             if until is not None and time > until:
                 break
             heappop(heap)
-            del entries[entry[1]]
+            entry[2] = None
             self.live -= 1
             engine.now = time
             fn()
@@ -137,7 +129,7 @@ class WheelScheduler:
 
     __slots__ = (
         "_buckets", "_mask", "_horizon", "_base", "_overflow",
-        "_entries", "_in_wheel", "live",
+        "_in_wheel", "seq", "live",
     )
 
     def __init__(self, horizon: int = WHEEL_HORIZON) -> None:
@@ -152,14 +144,16 @@ class WheelScheduler:
         #: ``[base, base + horizon)``.
         self._base = 0
         self._overflow: list[Entry] = []
-        self._entries: dict[int, Entry] = {}
         #: Entries (live + tombstoned) currently in wheel buckets.
         self._in_wheel = 0
+        #: Sequence number of the next pushed entry (the tie-break).
+        self.seq = 0
         self.live = 0
 
-    def push(self, time: float, seq: int, fn: Event) -> None:
+    def push(self, time: float, fn: Event) -> Entry:
+        seq = self.seq
+        self.seq = seq + 1
         entry = [time, seq, fn]
-        self._entries[seq] = entry
         self.live += 1
         base = self._base
         if time - base < self._horizon:
@@ -172,10 +166,10 @@ class WheelScheduler:
             if time != time or time == float("inf"):
                 raise SimulationError(f"non-finite event time: {time!r}")
             heappush(self._overflow, entry)
+        return entry
 
-    def cancel(self, seq: int) -> bool:
-        entry = self._entries.pop(seq, None)
-        if entry is None:
+    def cancel(self, entry: Entry) -> bool:
+        if entry[2] is None:
             return False
         entry[2] = None
         self.live -= 1
@@ -222,13 +216,6 @@ class WheelScheduler:
                         continue
                 base += 1
 
-    def pop_head(self) -> None:
-        bucket = self._buckets[self._base & self._mask]
-        entry = heappop(bucket)
-        self._in_wheel -= 1
-        del self._entries[entry[1]]
-        self.live -= 1
-
     def drain(
         self,
         engine,
@@ -237,7 +224,7 @@ class WheelScheduler:
     ) -> tuple[int, bool]:
         """Run the event loop; returns ``(processed, hit_max_events)``.
 
-        The head/pop protocol inlined: fold eligible overflow entries,
+        The :meth:`head` walk inlined: fold eligible overflow entries,
         advance the cursor over empty/tombstoned buckets, execute the
         cursor bucket's heap in exact ``(time, seq)`` order. ``_base``
         is written back before every callback — the callback may push,
@@ -247,7 +234,6 @@ class WheelScheduler:
         mask = self._mask
         horizon = self._horizon
         overflow = self._overflow
-        entries = self._entries
         processed = 0
         while self.live:
             base = self._base
@@ -287,8 +273,8 @@ class WheelScheduler:
                 if until is not None and time > until:
                     return processed, False
                 heappop(bucket)
+                entry[2] = None
                 self._in_wheel -= 1
-                del entries[entry[1]]
                 self.live -= 1
                 engine.now = time
                 fn()

@@ -14,7 +14,7 @@ from repro.config.gpu import GPUConfig
 from repro.config.scheduler import SchedulerConfig, baseline_scheduler
 from repro.dram.channel import Channel
 from repro.dram.energy import compute_energy
-from repro.dram.request import MemoryRequest
+from repro.dram.request import MemoryRequest, request_id_stream
 from repro.errors import SimulationError
 from repro.gpu.frontend import GPUFrontend
 from repro.gpu.interconnect import Crossbar
@@ -30,6 +30,11 @@ from repro.vp.predictor import make_predictor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.workloads.base import Workload
+
+_HIT = L2Outcome.HIT
+_MISS = L2Outcome.MISS
+_NO_FETCH = L2Outcome.MISS_NO_FETCH
+_STALL = L2Outcome.STALL
 
 #: Retry interval (memory cycles) when an L2 slice's MSHR file is full.
 _MSHR_RETRY_CYCLES = 8.0
@@ -72,6 +77,15 @@ class GPUSystem:
             for ch in range(mapping.num_channels)
         ]
         self.l2s = [L2Cache(self.config.l2) for _ in self.channels]
+        icnt_mem = self.config.core_to_mem(
+            self.config.interconnect_latency_core
+        )
+        self._req_xbar = Crossbar(
+            self.engine, mapping.num_channels, latency_mem_cycles=icnt_mem
+        )
+        self._reply_xbar = Crossbar(
+            self.engine, self.config.num_sms, latency_mem_cycles=icnt_mem
+        )
         self.controllers = [
             MemoryController(
                 channel,
@@ -84,18 +98,16 @@ class GPUSystem:
             )
             for ch, channel in enumerate(self.channels)
         ]
-        icnt_mem = self.config.core_to_mem(
-            self.config.interconnect_latency_core
-        )
-        self._req_xbar = Crossbar(
-            self.engine, mapping.num_channels, latency_mem_cycles=icnt_mem
-        )
-        self._reply_xbar = Crossbar(
-            self.engine, self.config.num_sms, latency_mem_cycles=icnt_mem
-        )
         self._l2_latency_mem = self.config.core_to_mem(
             self.config.l2.hit_latency_core
         )
+        self._line_bytes = self.config.l2.line_bytes
+        #: Line address -> DRAM coordinates (``AddressMapping.decode``
+        #: as a tuple); :meth:`run` installs the trace's table, and an
+        #: address missing from it is decoded once and added.
+        self._coords: dict = {}
+        #: ``next`` of the request-id stream, hoisted by :meth:`run`.
+        self._next_rid: Callable[[], int] = None  # type: ignore[assignment]
         self.frontend: Optional[GPUFrontend] = None
         #: Shared per-tenant accounting; installed by
         #: :meth:`_attach_tenants` for multi-tenant specs only.
@@ -231,46 +243,62 @@ class GPUSystem:
     # ------------------------------------------------------------------
     # Request path: SM -> crossbar -> L2 -> MC
     # ------------------------------------------------------------------
+    def _coords_of(self, addr: int) -> tuple:
+        """DRAM coordinates of ``addr``: the trace's table entry, else
+        one decode, kept for the rest of the run."""
+        try:
+            return self._coords[addr]
+        except KeyError:
+            d = self.config.mapping.decode(addr)
+            coords = (d.channel, d.bank, d.bank_group, d.row, d.column)
+            self._coords[addr] = coords
+            return coords
+
     def _mem_access(self, access: Access, warp: Warp) -> None:
-        ch = self.config.mapping.channel_of(access.addr)
+        try:
+            ch = self._coords[access.addr][0]
+        except KeyError:
+            ch = self._coords_of(access.addr)[0]
         self._req_xbar.deliver(
             ch, lambda: self._l2_access(ch, access, warp)
         )
 
     def _l2_access(self, ch: int, access: Access, warp: Warp) -> None:
-        l2 = self.l2s[ch]
-        waiter = DIRTY_FILL if access.is_write else warp
-        result = l2.access(
-            access.addr,
-            is_write=access.is_write,
-            full_line=access.full_line,
-            waiter=waiter,
+        is_write = access.is_write
+        addr = access.addr
+        result = self.l2s[ch].access(
+            addr, is_write, access.full_line,
+            DIRTY_FILL if is_write else warp,
         )
-        if result.outcome is L2Outcome.HIT:
-            if not access.is_write:
-                self.engine.after(
-                    self._l2_latency_mem,
+        outcome = result.outcome
+        if outcome is _HIT:
+            if not is_write:
+                engine = self.engine
+                engine.push(
+                    engine.now + self._l2_latency_mem,
                     lambda: self._reply_to_warp(warp),
                 )
-        elif result.outcome is L2Outcome.MISS:
-            request = MemoryRequest.from_address(
-                access.addr,
-                is_write=False,
-                mapping=self.config.mapping,
-                # Store-fetches must never be approximated away: their
-                # merged store data would be lost (DESIGN.md §5).
-                approximable=access.approximable and not access.is_write,
-                tag=access.tag,
-                tenant_id=warp.tenant_id,
+        elif outcome is _MISS:
+            try:
+                coords = self._coords[addr]
+            except KeyError:
+                coords = self._coords_of(addr)
+            # Store-fetches must never be approximated away: their
+            # merged store data would be lost (DESIGN.md §5).
+            request = MemoryRequest(
+                addr, False, *coords,
+                access.approximable and not is_write, 0.0, 0.0,
+                access.tag, warp.tenant_id, self._next_rid(),
             )
-            self.engine.after(
-                self._l2_latency_mem,
+            engine = self.engine
+            engine.push(
+                engine.now + self._l2_latency_mem,
                 lambda: self.controllers[ch].submit(request),
             )
-        elif result.outcome is L2Outcome.MISS_NO_FETCH:
+        elif outcome is _NO_FETCH:
             if result.writeback_line is not None:
                 self._submit_writeback(ch, result.writeback_line)
-        elif result.outcome is L2Outcome.STALL:
+        elif outcome is _STALL:
             self.engine.after(
                 _MSHR_RETRY_CYCLES,
                 lambda: self._l2_access(ch, access, warp),
@@ -278,25 +306,30 @@ class GPUSystem:
         # MISS_MERGED: the waiter is registered; nothing more to do.
 
     def _submit_writeback(self, ch: int, line_addr: int) -> None:
-        addr = line_addr * self.config.l2.line_bytes
-        request = MemoryRequest.from_address(
-            addr, is_write=True, mapping=self.config.mapping
-        )
-        if request.channel != ch:
+        addr = line_addr * self._line_bytes
+        coords = self._coords_of(addr)
+        if coords[0] != ch:
             raise SimulationError(
                 "write-back decoded to a different channel: "
-                f"{request.channel} != {ch}"
+                f"{coords[0]} != {ch}"
             )
-        self.controllers[ch].submit(request)
+        self.controllers[ch].submit(
+            MemoryRequest(
+                addr, True, *coords, False, 0.0, 0.0, None, 0,
+                self._next_rid(),
+            )
+        )
 
     # ------------------------------------------------------------------
     # Reply path: MC -> L2 fill -> crossbar -> SM
     # ------------------------------------------------------------------
     def _make_reply_fn(self, ch: int):
+        l2 = self.l2s[ch]
+        deliver = self._reply_xbar.deliver
+
         def reply(request: MemoryRequest, approx: bool, donor) -> None:
             if request.is_write:
                 return
-            l2 = self.l2s[ch]
             if approx:
                 # Dropped request: answer waiters, do not fill the L2.
                 waiters = l2.cancel_fill(request.addr)
@@ -304,11 +337,9 @@ class GPUSystem:
                 waiters, writeback = l2.fill(request.addr)
                 if writeback is not None:
                     self._submit_writeback(ch, writeback)
+            on_load_reply = self.frontend.on_load_reply
             for warp in waiters:
-                self._reply_xbar.deliver(
-                    warp.sm_id,
-                    lambda w=warp: self.frontend.on_load_reply(w),
-                )
+                deliver(warp.sm_id, lambda w=warp: on_load_reply(w))
 
         return reply
 
@@ -325,14 +356,22 @@ class GPUSystem:
         workload_name: str = "custom",
         max_events: int = 200_000_000,
         stream_tenants: Optional[Sequence[int]] = None,
+        line_coords: Optional[dict] = None,
     ) -> SimReport:
         """Execute the warp streams to completion and build the report.
 
         ``stream_tenants`` (one ``tenant_id`` per stream, from the
         :class:`~repro.workloads.tenant_mix.TenantMix` composer) turns
         on per-tenant warp attribution and the report's per-tenant
-        section; ``None`` is the single-tenant path.
+        section; ``None`` is the single-tenant path. ``line_coords`` is
+        the trace's DRAM coordinate table
+        (:meth:`~repro.workloads.base.Workload.line_coords`, shared by a
+        matrix row's cells); without it each line is decoded on first
+        use.
         """
+        # A decode memo: lines missing from it are decoded and added.
+        self._coords = line_coords if line_coords is not None else {}
+        self._next_rid = request_id_stream().__next__
         self.frontend = GPUFrontend(
             self.engine, self.config, warp_streams, self._mem_access,
             stream_tenants=stream_tenants,
@@ -465,11 +504,11 @@ def simulate_spec(
             workload = TenantMix(
                 spec.tenants, scale=workload.scale, seed=workload.seed
             )
-    streams = workload.streams(system.config)
     report = system.run(
-        streams,
+        workload.streams(system.config),
         workload_name=workload.name,
         stream_tenants=getattr(workload, "stream_tenants", None),
+        line_coords=workload.line_coords(system.config),
     )
     if spec.measure_error:
         from repro.approx.replay import measure_application_error

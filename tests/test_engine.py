@@ -114,6 +114,45 @@ class TestCancellation:
         e.run()
         assert e.events_processed == 1
 
+    def test_cancel_unknown_handle_is_not_counted(self) -> None:
+        e = Engine()
+        e.cancel(12345)
+        e.cancel(None)
+        assert e.events_cancelled == 0
+
+    def test_cancel_twice_counts_once(self) -> None:
+        e = Engine()
+        handle = e.at(4, lambda: None)
+        e.at(6, lambda: None)
+        e.cancel(handle)
+        e.cancel(handle)
+        assert e.events_cancelled == 1
+        assert e.live_event_count == 1
+        e.run()
+        assert e.events_processed == 1
+
+    def test_cancel_after_execution_is_not_counted(self) -> None:
+        e = Engine()
+        log: list[float] = []
+        handle = e.at(2, lambda: log.append(e.now))
+        late = e.at(5, lambda: log.append(e.now))
+        e.run(until=3)
+        e.cancel(handle)
+        assert e.events_cancelled == 0
+        assert e.live_event_count == 1
+        e.run()
+        e.cancel(late)
+        assert log == [2, 5]
+        assert e.events_cancelled == 0
+
+    def test_cancel_own_handle_inside_callback_is_not_counted(self) -> None:
+        e = Engine()
+        handles = []
+        handles.append(e.at(1, lambda: e.cancel(handles[0])))
+        e.run()
+        assert e.events_processed == 1
+        assert e.events_cancelled == 0
+
     def test_cancelled_event_not_run_by_until(self) -> None:
         e = Engine()
         log: list[float] = []

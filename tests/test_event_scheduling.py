@@ -94,7 +94,7 @@ def _execute(backend, events, pre_cancels, *, until=None, max_events=None):
         overflowed = True
     return (
         log, overflowed, engine.events_processed,
-        engine.live_event_count, engine.now,
+        engine.events_cancelled, engine.live_event_count, engine.now,
     )
 
 
@@ -144,14 +144,25 @@ class TestWheelHeapEquivalence:
         def two_phase(backend):
             engine = Engine(backend=backend)
             log: list[tuple[float, int]] = []
-            for i, (time, _, _) in enumerate(events):
+            handles = [
                 engine.at(time, lambda i=i: log.append((engine.now, i)))
+                for i, (time, _, _) in enumerate(events)
+            ]
             for idx in pre_cancels:
-                engine.cancel(idx)
+                engine.cancel(handles[idx])
             engine.run(until=until)
             midpoint = list(log)
+            # Cancelling an executed or an already-cancelled handle is
+            # a no-op on either backend.
+            for _, i in midpoint:
+                engine.cancel(handles[i])
+            for idx in pre_cancels:
+                engine.cancel(handles[idx])
             engine.run()
-            return midpoint, log, engine.now, engine.events_processed
+            return (
+                midpoint, log, engine.now, engine.events_processed,
+                engine.events_cancelled,
+            )
 
         assert two_phase("wheel") == two_phase("heap")
 
