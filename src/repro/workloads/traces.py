@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.gpu.warp import Access, WarpOp
+from repro.gpu.warp import Access, WarpOp, new_access, new_op
 from repro.workloads.layout import AddressSpace
 
 WarpStream = list[WarpOp]
@@ -110,9 +110,9 @@ def dram_row_groups(
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
     group = rank[inverse]
-    ordered = addrs[np.argsort(group, kind="stable")]
-    bounds = np.cumsum(np.bincount(group))[:-1]
-    return [part.tolist() for part in np.split(ordered, bounds)]
+    ordered = addrs[np.argsort(group, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(group)).tolist()
+    return [ordered[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def row_visit_streams(
@@ -177,30 +177,23 @@ def row_visit_streams(
     if line_offset:
         groups = [g[line_offset:] for g in groups]
         groups = [g for g in groups if g]
-    approx = space.spec(name).approximable
+    approx = space.spec(name).approximable and not write
 
     chunk = lines_per_op or lines_per_visit
 
     def visit_ops(lines: list[int]) -> list[WarpOp]:
-        ops = []
-        for i in range(0, len(lines), chunk):
-            accesses = tuple(
-                Access(
-                    addr=line,
-                    is_write=write,
-                    approximable=approx and not write,
-                    tag=(name, line),
-                )
-                for line in lines[i:i + chunk]
+        # The trace's bulk: built positionally, one op per chunk.
+        return [
+            new_op(
+                compute,
+                instructions,
+                tuple([
+                    new_access(line, write, approx, True, (name, line))
+                    for line in lines[i:i + chunk]
+                ]),
             )
-            ops.append(
-                WarpOp(
-                    compute_cycles=compute,
-                    instructions=instructions,
-                    accesses=accesses,
-                )
-            )
-        return ops
+            for i in range(0, len(lines), chunk)
+        ]
 
     streams: list[WarpStream] = []
     if visits_per_row <= 1:
