@@ -282,10 +282,11 @@ class GPUSystem:
                 coords = self._coords[addr]
             except KeyError:
                 coords = self._coords_of(addr)
+            channel, bank, bank_group, row, column = coords
             # Store-fetches must never be approximated away: their
             # merged store data would be lost (DESIGN.md §5).
             request = MemoryRequest(
-                addr, False, *coords,
+                addr, False, channel, bank, bank_group, row, column,
                 access.approximable and not is_write, 0.0, 0.0,
                 access.tag, warp.tenant_id, self._next_rid(),
             )
@@ -306,16 +307,16 @@ class GPUSystem:
 
     def _submit_writeback(self, ch: int, line_addr: int) -> None:
         addr = line_addr * self._line_bytes
-        coords = self._coords_of(addr)
-        if coords[0] != ch:
+        channel, bank, bank_group, row, column = self._coords_of(addr)
+        if channel != ch:
             raise SimulationError(
                 "write-back decoded to a different channel: "
-                f"{coords[0]} != {ch}"
+                f"{channel} != {ch}"
             )
         self.controllers[ch].submit(
             MemoryRequest(
-                addr, True, *coords, False, 0.0, 0.0, None, 0,
-                self._next_rid(),
+                addr, True, channel, bank, bank_group, row, column,
+                False, 0.0, 0.0, None, 0, self._next_rid(),
             )
         )
 
