@@ -12,12 +12,13 @@ commits can be compared::
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py \
         --scale 0.5 --jobs 4 --out BENCH_sim_throughput.json
 
-The JSON records, per (app, scheme) cell: events processed/cancelled,
-wall seconds, and events/sec; plus a matrix section timing a fresh
-``Runner.run_matrix`` at each fan-out level (1/2/4/8 workers, plus a
-thread-mode run), every pooled level against a *prewarmed*
-:class:`~repro.harness.pool.WarmPool` so the numbers compare dispatch
-cost rather than process start-up. Parallel speedups are only
+The JSON records, per (app, scheme) cell: events processed, events
+cancelled (superseded wake-ups actually tombstoned; a cancel of an
+already-run event counts nothing), wall seconds, and events/sec; plus a
+matrix section timing a fresh ``Runner.run_matrix`` at each fan-out
+level (1/2/4/8 workers, up to ``--jobs``), every pooled level against a
+*prewarmed* :class:`~repro.harness.pool.WarmPool` so the numbers
+compare dispatch cost rather than process start-up. Parallel speedups are only
 meaningful on a multi-core host — on one core they hover at or below
 1.0 by construction.
 

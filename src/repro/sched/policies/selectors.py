@@ -9,16 +9,28 @@ resolve.
 ``select`` is the simulator's hottest call (one per issued DRAM
 command). The fold keeps the best key as three scalars and compares
 them branch-by-branch — the ``(ready, prio, enq)`` tuple is allocated
-once for the winner, never for losers — and the ready-time queries of
-:mod:`repro.dram.channel` are inlined against the structures ``bind``
-hoisted: bank slots, the per-row/per-bank index dicts, the bank-group
-column windows, and the :class:`~repro.dram.timing.TimingTable` floats.
-The arithmetic mirrors ``column_ready_time`` / ``precharge_ready_time``
-/ ``activate_ready_time`` expression-for-expression (the golden
-differential suite pins the reports bit-identical), and the per-bank
-index buckets are non-empty for every bank in ``banks_with_pending()``
-— a :meth:`~repro.sched.pending_queue.PendingQueue.check_invariants`
+once for the winner, never for losers — and the ready-time arithmetic
+of :mod:`repro.dram.channel` is inlined against the structures ``bind``
+hoisted: bank slots, the per-bank request FIFOs and row dicts, the
+bank-group column windows, the :class:`~repro.dram.timing.TimingTable`
+floats, and the gate, whose delay is read once per call (an enabled
+gate's ``earliest_eligible(t)`` is ``t + current_delay``). The
+arithmetic mirrors ``Channel.issue_column`` / ``precharge_ready_time``
+/ ``activate_ready_time`` step for step (the golden differential suite
+pins the reports bit-identical), and the per-bank buckets are non-empty
+for every bank in ``banks_with_pending()`` — a
+:meth:`~repro.sched.pending_queue.PendingQueue.check_invariants`
 invariant — so the FIFO heads are taken without a None guard.
+
+A ready time is the latest of ``now`` and the command's constraints,
+except that a column command is then shifted so its burst starts when
+the data bus frees (``t += bus_free - ds``). That float sum rounds
+differently for different ``now``, so two selects of the same state at
+different times can rank near-equal candidates differently: a key is
+only valid at the ``now`` it was folded for. Neither an incremental
+fold (new request's bank against an earlier winner) nor a re-select in
+place of the controller's wake memo reproduces the pinned reports (see
+``MemoryController._cached_candidate`` and DESIGN.md §5).
 """
 
 from __future__ import annotations
