@@ -43,27 +43,33 @@ class Bank:
         """Whether any row is currently latched in the row buffer."""
         return self.open_row != NO_ROW
 
-    def earliest_activate_time(self, now: float) -> float:
-        """Earliest legal ACT issue time considering only this bank."""
-        return max(now, self.earliest_act)
-
     def earliest_precharge_time(self, now: float) -> float:
         """Earliest legal PRE issue time considering only this bank."""
         return max(now, self.earliest_pre)
 
+    # The command updates below raise each window with ``<`` steps, the
+    # same result as ``max(window, limit)`` without the builtin call.
     def do_activate(self, row: int, t: float) -> None:
         """Apply an ACT issued at ``t`` opening ``row``."""
         tm = self.timings
         self.open_row = row
         self.last_act_time = t
-        self.earliest_col_rd = max(self.earliest_col_rd, t + tm.tRCD)
-        self.earliest_col_wr = max(self.earliest_col_wr, t + tm.tRCD)
-        self.earliest_pre = max(self.earliest_pre, t + tm.tRAS)
-        self.earliest_act = max(self.earliest_act, t + tm.tRC)
+        limit = t + tm.tRCD
+        if limit > self.earliest_col_rd:
+            self.earliest_col_rd = limit
+        if limit > self.earliest_col_wr:
+            self.earliest_col_wr = limit
+        limit = t + tm.tRAS
+        if limit > self.earliest_pre:
+            self.earliest_pre = limit
+        limit = t + tm.tRC
+        if limit > self.earliest_act:
+            self.earliest_act = limit
         self.accesses_this_activation = 0
 
     def do_precharge(self, t: float) -> None:
         """Apply a PRE issued at ``t``; the bank becomes closed."""
-        tm = self.timings
         self.open_row = NO_ROW
-        self.earliest_act = max(self.earliest_act, t + tm.tRP)
+        limit = t + self.timings.tRP
+        if limit > self.earliest_act:
+            self.earliest_act = limit

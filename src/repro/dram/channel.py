@@ -79,15 +79,26 @@ class Channel:
     # ------------------------------------------------------------------
     def precharge_ready_time(self, bank: Bank, now: float) -> float:
         """Earliest legal PRE issue time for an open bank."""
-        return max(bank.earliest_precharge_time(now), self._next_cmd_time)
+        # max(now, bank window, command bus), as ``<`` steps.
+        t = bank.earliest_pre
+        if not t > now:
+            t = now
+        if self._next_cmd_time > t:
+            t = self._next_cmd_time
+        return t
 
     def activate_ready_time(self, bank: Bank, now: float) -> float:
         """Earliest legal ACT issue time for a closed bank."""
-        return max(
-            bank.earliest_activate_time(now),
-            self._last_act_any + self.table.tRRD,
-            self._next_cmd_time,
-        )
+        # max(now, bank window, tRRD, command bus), as ``<`` steps.
+        t = bank.earliest_act
+        if not t > now:
+            t = now
+        limit = self._last_act_any + self.table.tRRD
+        if limit > t:
+            t = limit
+        if self._next_cmd_time > t:
+            t = self._next_cmd_time
+        return t
 
     # ------------------------------------------------------------------
     # Command execution
