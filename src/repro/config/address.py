@@ -30,6 +30,21 @@ from repro.errors import ConfigError
 Coords = tuple[int, int, int, int, int]
 
 
+class CoordTable(dict):
+    """``{addr: Coords}`` of one mapping; an address missing from the
+    table is decoded on first lookup and kept."""
+
+    def __init__(self, mapping: "AddressMapping") -> None:
+        super().__init__()
+        self.mapping = mapping
+
+    def __missing__(self, addr: int) -> Coords:
+        d = self.mapping.decode(addr)
+        coords = (d.channel, d.bank, d.bank_group, d.row, d.column)
+        self[addr] = coords
+        return coords
+
+
 @dataclass(frozen=True, slots=True)
 class DecodedAddress:
     """A request address after DRAM mapping."""
@@ -152,16 +167,18 @@ class AddressMapping:
             in_row // self.access_bytes,
         )
 
-    def decode_table(self, addrs: Iterable[int]) -> dict[int, Coords]:
-        """``{addr: (channel, bank, bank_group, row, column)}`` for every
-        distinct address in ``addrs``, decoded in one vectorized pass.
+    def decode_table(self, addrs: Iterable[int]) -> CoordTable:
+        """A :class:`CoordTable` holding every distinct address in
+        ``addrs``, decoded in one vectorized pass.
 
         The simulator builds this once per trace, so no request pays a
         :meth:`decode` call.
         """
         unique = np.unique(np.fromiter(addrs, dtype=np.int64))
         columns = [part.tolist() for part in self.decode_array(unique)]
-        return dict(zip(unique.tolist(), zip(*columns)))
+        table = CoordTable(self)
+        table.update(zip(unique.tolist(), zip(*columns)))
+        return table
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (returns the lowest address of the access)."""

@@ -45,50 +45,6 @@ class WarpOp:
     accesses: tuple[Access, ...] = ()
 
 
-# Trace builders create tens of thousands of accesses per trace. A
-# frozen dataclass's ``__init__`` writes each field through the
-# ``object.__setattr__`` guard; these constructors write the same slots
-# through their descriptors instead, building instances equal field for
-# field at about twice the speed. The instances stay frozen.
-_new = object.__new__
-_ACCESS_SLOTS = tuple(
-    getattr(Access, name).__set__
-    for name in ("addr", "is_write", "approximable", "full_line", "tag")
-)
-_OP_SLOTS = tuple(
-    getattr(WarpOp, name).__set__
-    for name in ("compute_cycles", "instructions", "accesses")
-)
-
-
-def new_access(
-    addr: int, is_write: bool, approximable: bool, full_line: bool, tag: Any
-) -> Access:
-    """``Access(addr, is_write, approximable, full_line, tag)``, built
-    without the frozen-dataclass ``__init__``."""
-    access = _new(Access)
-    set_addr, set_write, set_approx, set_full, set_tag = _ACCESS_SLOTS
-    set_addr(access, addr)
-    set_write(access, is_write)
-    set_approx(access, approximable)
-    set_full(access, full_line)
-    set_tag(access, tag)
-    return access
-
-
-def new_op(
-    compute_cycles: float, instructions: int, accesses: tuple[Access, ...]
-) -> WarpOp:
-    """``WarpOp(compute_cycles, instructions, accesses)``, built without
-    the frozen-dataclass ``__init__``."""
-    op = _new(WarpOp)
-    set_compute, set_instructions, set_accesses = _OP_SLOTS
-    set_compute(op, compute_cycles)
-    set_instructions(op, instructions)
-    set_accesses(op, accesses)
-    return op
-
-
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Park the cyclic garbage collector for the block.

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.cache.l2cache import DIRTY_FILL, L2Cache, L2Outcome
+from repro.config.address import CoordTable
 from repro.config.gpu import GPUConfig
 from repro.config.scheduler import SchedulerConfig, baseline_scheduler
 from repro.dram.channel import Channel
@@ -101,10 +102,9 @@ class GPUSystem:
             self.config.l2.hit_latency_core
         )
         self._line_bytes = self.config.l2.line_bytes
-        #: Line address -> DRAM coordinates (``AddressMapping.decode``
-        #: as a tuple); :meth:`run` installs the trace's table, and an
-        #: address missing from it is decoded once and added.
-        self._coords: dict = {}
+        #: Line address -> DRAM coordinates; :meth:`run` installs the
+        #: trace's table, which decodes any address it lacks.
+        self._coords = CoordTable(mapping)
         #: ``next`` of the request-id stream, hoisted by :meth:`run`.
         self._next_rid: Callable[[], int] = None  # type: ignore[assignment]
         self.frontend: Optional[GPUFrontend] = None
@@ -242,22 +242,8 @@ class GPUSystem:
     # ------------------------------------------------------------------
     # Request path: SM -> crossbar -> L2 -> MC
     # ------------------------------------------------------------------
-    def _coords_of(self, addr: int) -> tuple:
-        """DRAM coordinates of ``addr``: the trace's table entry, else
-        one decode, kept for the rest of the run."""
-        try:
-            return self._coords[addr]
-        except KeyError:
-            d = self.config.mapping.decode(addr)
-            coords = (d.channel, d.bank, d.bank_group, d.row, d.column)
-            self._coords[addr] = coords
-            return coords
-
     def _mem_access(self, access: Access, warp: Warp) -> None:
-        try:
-            ch = self._coords[access.addr][0]
-        except KeyError:
-            ch = self._coords_of(access.addr)[0]
+        ch = self._coords[access.addr][0]
         self._req_xbar.deliver(
             ch, lambda: self._l2_access(ch, access, warp)
         )
@@ -278,11 +264,7 @@ class GPUSystem:
                     lambda: self._reply_to_warp(warp),
                 )
         elif outcome is _MISS:
-            try:
-                coords = self._coords[addr]
-            except KeyError:
-                coords = self._coords_of(addr)
-            channel, bank, bank_group, row, column = coords
+            channel, bank, bank_group, row, column = self._coords[addr]
             # Store-fetches must never be approximated away: their
             # merged store data would be lost (DESIGN.md §5).
             request = MemoryRequest(
@@ -307,7 +289,7 @@ class GPUSystem:
 
     def _submit_writeback(self, ch: int, line_addr: int) -> None:
         addr = line_addr * self._line_bytes
-        channel, bank, bank_group, row, column = self._coords_of(addr)
+        channel, bank, bank_group, row, column = self._coords[addr]
         if channel != ch:
             raise SimulationError(
                 "write-back decoded to a different channel: "
@@ -356,7 +338,7 @@ class GPUSystem:
         workload_name: str = "custom",
         max_events: int = 200_000_000,
         stream_tenants: Optional[Sequence[int]] = None,
-        line_coords: Optional[dict] = None,
+        line_coords: Optional[CoordTable] = None,
     ) -> SimReport:
         """Execute the warp streams to completion and build the report.
 
@@ -369,8 +351,12 @@ class GPUSystem:
         matrix row's cells); without it each line is decoded on first
         use.
         """
-        # A decode memo: lines missing from it are decoded and added.
-        self._coords = line_coords if line_coords is not None else {}
+        if line_coords is not None:
+            if line_coords.mapping != self.config.mapping:
+                raise SimulationError(
+                    "line_coords was decoded for another address mapping"
+                )
+            self._coords = line_coords
         self._next_rid = request_id_stream().__next__
         self.frontend = GPUFrontend(
             self.engine, self.config, warp_streams, self._mem_access,

@@ -23,7 +23,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from repro.config.address import Coords
+from repro.config.address import CoordTable
 from repro.config.gpu import GPUConfig
 from repro.errors import WorkloadError
 from repro.gpu.warp import WarpOp, gc_paused
@@ -64,7 +64,7 @@ class Workload(abc.ABC):
         #: (config, streams) of the last :meth:`streams` call.
         self._streams: Optional[tuple[GPUConfig, list[list[WarpOp]]]] = None
         #: (streams, coordinate table) of the last :meth:`line_coords`.
-        self._coords: Optional[tuple[list, dict[int, Coords]]] = None
+        self._coords: Optional[tuple[list, CoordTable]] = None
         self._build()
         if not self.arrays:
             raise WorkloadError(f"{self.name}: _build registered no arrays")
@@ -145,7 +145,7 @@ class Workload(abc.ABC):
         self._streams = (config, streams)
         return streams
 
-    def line_coords(self, config: GPUConfig) -> dict[int, Coords]:
+    def line_coords(self, config: GPUConfig) -> CoordTable:
         """DRAM coordinates of every line :meth:`streams` accesses for
         ``config``, decoded once and kept with that trace.
 

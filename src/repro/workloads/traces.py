@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.gpu.warp import Access, WarpOp, new_access, new_op
+from repro.gpu.warp import Access, WarpOp
 from repro.workloads.layout import AddressSpace
 
 WarpStream = list[WarpOp]
@@ -184,11 +184,11 @@ def row_visit_streams(
     def visit_ops(lines: list[int]) -> list[WarpOp]:
         # The trace's bulk: built positionally, one op per chunk.
         return [
-            new_op(
+            WarpOp(
                 compute,
                 instructions,
                 tuple([
-                    new_access(line, write, approx, True, (name, line))
+                    Access(line, write, approx, True, (name, line))
                     for line in lines[i:i + chunk]
                 ]),
             )

@@ -61,3 +61,25 @@ class TestPermutedMapping:
             key = (d.channel, d.bank, d.row)
             assert key not in seen
             seen.add(key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scheme=st.sampled_from(["bank_interleaved", "permuted"]),
+    addrs=st.lists(st.integers(min_value=0, max_value=2**40), max_size=50),
+)
+def test_decode_table_matches_scalar_decode(scheme, addrs) -> None:
+    mapping = AddressMapping(scheme=scheme)
+    table = mapping.decode_table(addrs)
+    assert len(table) == len(set(addrs))
+    for addr in addrs:
+        d = mapping.decode(addr)
+        coords = (d.channel, d.bank, d.bank_group, d.row, d.column)
+        assert table[addr] == coords
+        assert all(type(c) is int for c in table[addr])
+    # An address the table lacks is decoded on lookup and kept.
+    missing = 2**41 + 384
+    d = mapping.decode(missing)
+    assert table[missing] == (d.channel, d.bank, d.bank_group, d.row, d.column)
+    assert missing in table
+

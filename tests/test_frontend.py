@@ -145,19 +145,3 @@ class TestSMOversubscription:
         )
         assert [w.sm_id for w in fe.warps] == [0, 1, 2, 3, 0, 1, 2, 3]
 
-
-class TestTraceConstructors:
-    def test_new_access_and_op_equal_the_dataclass_constructors(self) -> None:
-        from dataclasses import FrozenInstanceError
-
-        from repro.gpu.warp import new_access, new_op
-
-        access = new_access(384, True, False, False, ("A", 384))
-        assert access == Access(384, True, False, False, ("A", 384))
-        op = new_op(12.5, 7, (access,))
-        assert op == WarpOp(12.5, 7, (access,))
-        assert hash(op) == hash(WarpOp(12.5, 7, (access,)))
-        with pytest.raises(FrozenInstanceError):
-            access.addr = 0  # type: ignore[misc]
-        with pytest.raises(FrozenInstanceError):
-            op.instructions = 0  # type: ignore[misc]
