@@ -121,13 +121,6 @@ class AddressMapping:
             return bank_raw ^ (row & (self.banks_per_channel - 1))
         return bank_raw
 
-    def channel_of(self, addr: int) -> int:
-        """Channel index of ``addr`` alone — the first stage of
-        :meth:`decode`, for the request-routing hot path where the
-        bank/row fields (and the :class:`DecodedAddress` allocation)
-        are not needed."""
-        return (addr // self.interleave_bytes) % self.num_channels
-
     def decode(self, addr: int) -> DecodedAddress:
         """Decode a byte address into (channel, bank, bank group, row, column)."""
         chunk, offset = divmod(addr, self.interleave_bytes)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from repro.config.address import AddressMapping
 
@@ -88,11 +88,6 @@ class MemoryRequest:
             tag=tag,
             tenant_id=tenant_id,
         )
-
-    @property
-    def bank_row(self) -> tuple[int, int]:
-        """The (bank, row) key used for row-hit matching within a channel."""
-        return (self.bank, self.row)
 
     def age(self, now: float) -> float:
         """Cycles this request has spent in the pending queue."""

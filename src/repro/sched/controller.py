@@ -114,14 +114,6 @@ class MemoryController:
         # changes LPS's reports (see DESIGN.md §5).
         self._cached_candidate = None
         self._line_bytes = config.l2.line_bytes
-        # Predictors that ignore fills (the default nearest-line VP)
-        # keep the column-issue path free of a no-op call.
-        self._on_fill: Optional[Callable[[int], None]] = (
-            predictor.on_fill
-            if predictor is not None
-            and type(predictor).on_fill is not ValuePredictor.on_fill
-            else None
-        )
         self.ams.set_halted(self.dms.wants_ams_halted)
         # The profiling tick follows the *dynamic* units' window size;
         # a disabled unit's (default) window must not stretch it.
@@ -274,8 +266,10 @@ class MemoryController:
                 if tenants is not None:
                     tenants.on_served(request)
                 if not is_write:
-                    if self._on_fill is not None:
-                        self._on_fill(request.addr // self._line_bytes)
+                    if self.predictor is not None:
+                        self.predictor.on_fill(
+                            request.addr // self._line_bytes
+                        )
                     self.engine.push(
                         data_end,
                         lambda r=request: self.reply_fn(r, False, None),

@@ -35,14 +35,11 @@ class DMSUnit:
 
     def __init__(self, config: DMSConfig) -> None:
         self.config = config
-        self._enabled = config.mode is not DMSMode.OFF
         self._dynamic = config.mode is DMSMode.DYNAMIC
-        #: The delay X currently enforced on row-opening requests (a
-        #: plain attribute: the candidate selectors read it per fold).
         if config.mode is DMSMode.STATIC:
-            self.current_delay = float(config.static_delay)
+            self._delay = float(config.static_delay)
         else:
-            self.current_delay = 0.0
+            self._delay = 0.0
         # --- dynamic profiling state ---
         self._state = _DynState.WARMUP
         self._baseline_bwutil = 0.0
@@ -58,7 +55,12 @@ class DMSUnit:
     @property
     def enabled(self) -> bool:
         """Whether DMS is active at all."""
-        return self._enabled
+        return self.config.mode is not DMSMode.OFF
+
+    @property
+    def current_delay(self) -> float:
+        """The delay X currently enforced on row-opening requests."""
+        return self._delay
 
     @property
     def window_index(self) -> int:
@@ -84,9 +86,9 @@ class DMSUnit:
     def earliest_eligible(self, enqueue_time: float) -> float:
         """Earliest time a row-opening request with this enqueue time may
         be considered for scheduling."""
-        if not self._enabled:
+        if not self.enabled:
             return enqueue_time
-        return enqueue_time + self.current_delay
+        return enqueue_time + self._delay
 
     # ------------------------------------------------------------------
     # Dynamic profiling (driven by the controller's window tick)
@@ -106,7 +108,7 @@ class DMSUnit:
             self._state = _DynState.BASELINE
         elif self._state is _DynState.BASELINE:
             self._baseline_bwutil = bwutil
-            self.current_delay = max(
+            self._delay = max(
                 float(self.config.delay_step), self._recorded_delay
             )
             self._state = _DynState.SEARCH
@@ -116,7 +118,7 @@ class DMSUnit:
             self._search_step(bwutil)
         elif self._state is _DynState.SETTLED:
             self._settled_guard(bwutil)
-        self.delay_trace.append((self._window_index, self.current_delay))
+        self.delay_trace.append((self._window_index, self._delay))
 
     def _settled_guard(self, bwutil: float) -> None:
         """Watchdog for the settled delay between phase restarts.
@@ -130,10 +132,10 @@ class DMSUnit:
         if bwutil > self._baseline_bwutil:
             self._baseline_bwutil = bwutil
         if bwutil < cfg.bwutil_threshold * self._baseline_bwutil:
-            self.current_delay = max(
-                float(cfg.min_delay), self.current_delay - cfg.delay_step
+            self._delay = max(
+                float(cfg.min_delay), self._delay - cfg.delay_step
             )
-            self._recorded_delay = self.current_delay
+            self._recorded_delay = self._delay
 
     def _search_step(self, bwutil: float) -> None:
         cfg = self.config
@@ -149,12 +151,12 @@ class DMSUnit:
             self._direction = 1 if ok else -1
         if self._direction > 0:
             if ok:
-                self._last_good = self.current_delay
-                if self.current_delay >= cfg.max_delay:
-                    self._settle(self.current_delay)
+                self._last_good = self._delay
+                if self._delay >= cfg.max_delay:
+                    self._settle(self._delay)
                 else:
-                    self.current_delay = min(
-                        self.current_delay + cfg.delay_step, float(cfg.max_delay)
+                    self._delay = min(
+                        self._delay + cfg.delay_step, float(cfg.max_delay)
                     )
             else:
                 # Back off to the last delay that met the threshold.
@@ -162,27 +164,27 @@ class DMSUnit:
                     self._last_good
                     if self._last_good is not None
                     else max(
-                        float(cfg.min_delay), self.current_delay - cfg.delay_step
+                        float(cfg.min_delay), self._delay - cfg.delay_step
                     )
                 )
                 self._settle(fallback)
         else:  # searching down: the phase started above the knee
             if ok:
-                self._settle(self.current_delay)
-            elif self.current_delay <= cfg.min_delay:
+                self._settle(self._delay)
+            elif self._delay <= cfg.min_delay:
                 self._settle(float(cfg.min_delay))
             else:
-                self.current_delay = max(
-                    float(cfg.min_delay), self.current_delay - cfg.delay_step
+                self._delay = max(
+                    float(cfg.min_delay), self._delay - cfg.delay_step
                 )
 
     def _settle(self, delay: float) -> None:
-        self.current_delay = delay
+        self._delay = delay
         self._recorded_delay = delay
         self._state = _DynState.SETTLED
 
     def _restart_phase(self) -> None:
         self._windows_in_phase = 0
         self._state = _DynState.BASELINE
-        self.current_delay = 0.0  # sample the no-delay baseline next window
-        self.delay_trace.append((self._window_index, self.current_delay))
+        self._delay = 0.0  # sample the no-delay baseline next window
+        self.delay_trace.append((self._window_index, self._delay))

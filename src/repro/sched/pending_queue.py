@@ -80,7 +80,7 @@ class PendingQueue:
     # ------------------------------------------------------------------
     def offer(self, request: MemoryRequest, now: float) -> bool:
         """Present an arriving request; returns True if admitted now."""
-        if len(self._fifo) >= self.capacity:
+        if self.full:
             self._ingress.append(request)
             self.total_deferred += 1
             return False
@@ -90,10 +90,9 @@ class PendingQueue:
     def _admit(self, request: MemoryRequest, now: float) -> None:
         request.enqueue_time = now
         rid = request.rid
-        fifo = self._fifo
-        if rid in fifo:
+        if rid in self._fifo:
             raise SchedulingError(f"request {rid} enqueued twice")
-        fifo[rid] = request
+        self._fifo[rid] = request
         bank = request.bank
         bank_bucket = self._by_bank[bank]
         if not bank_bucket:
@@ -106,18 +105,15 @@ class PendingQueue:
         else:
             row_bucket.append(request)
         self.total_admitted += 1
-        if len(fifo) > self.peak_occupancy:
-            self.peak_occupancy = len(fifo)
+        if len(self._fifo) > self.peak_occupancy:
+            self.peak_occupancy = len(self._fifo)
 
     def remove(self, request: MemoryRequest, now: float) -> None:
         """Remove a request (issued to DRAM or dropped by AMS)."""
         rid = request.rid
-        try:
-            del self._fifo[rid]
-        except KeyError:
-            raise SchedulingError(
-                f"request {rid} not in pending queue"
-            ) from None
+        if rid not in self._fifo:
+            raise SchedulingError(f"request {rid} not in pending queue")
+        del self._fifo[rid]
         bank = request.bank
         bank_bucket = self._by_bank[bank]
         if bank_bucket[0] is request:
@@ -135,9 +131,8 @@ class PendingQueue:
         if not row_bucket:
             del rows[request.row]
         # Admit deferred arrivals into the freed entry.
-        ingress = self._ingress
-        while ingress and len(self._fifo) < self.capacity:
-            self._admit(ingress.popleft(), now)
+        while self._ingress and not self.full:
+            self._admit(self._ingress.popleft(), now)
 
     # ------------------------------------------------------------------
     # Scheduler queries
