@@ -12,8 +12,6 @@ of concurrent threads").
 from __future__ import annotations
 
 import enum
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
@@ -43,25 +41,6 @@ class WarpOp:
     compute_cycles: float
     instructions: int
     accesses: tuple[Access, ...] = ()
-
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Park the cyclic garbage collector for the block.
-
-    Building a trace and running the event loop allocate objects at a
-    rate that keeps the collector's generation-0 threshold firing, and
-    each pass also walks the trace built so far; yet neither forms
-    cycles — refcounting reclaims everything. The caller's setting is
-    restored either way.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class WarpState(enum.Enum):

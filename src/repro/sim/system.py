@@ -6,6 +6,7 @@ exposes :func:`simulate_spec`, the package's main entry point.
 
 from __future__ import annotations
 
+import gc
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.cache.l2cache import DIRTY_FILL, L2Cache, L2Outcome
@@ -18,7 +19,7 @@ from repro.dram.request import MemoryRequest, request_id_stream
 from repro.errors import SimulationError
 from repro.gpu.frontend import GPUFrontend
 from repro.gpu.interconnect import Crossbar
-from repro.gpu.warp import Access, Warp, WarpOp, gc_paused
+from repro.gpu.warp import Access, Warp, WarpOp
 from repro.sched.controller import MemoryController
 from repro.sim.engine import Engine
 from repro.sim.report import L2Summary, SimReport
@@ -367,10 +368,18 @@ class GPUSystem:
             sampler = WindowSeries(self.telemetry, self)
             sampler.start()
         self.frontend.start()
-        # The loop's short-lived containers (candidate keys, reply
-        # closures) form no cycles: run it with the collector parked.
-        with gc_paused():
+        # The event loop allocates short-lived containers (candidate
+        # keys, reply closures) at a rate that keeps the cyclic GC's
+        # gen-0 threshold firing constantly, yet none of them form
+        # cycles — refcounting reclaims everything. Park the collector
+        # for the loop; restore the caller's setting either way.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
             self.engine.run(max_events=max_events)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         if not self.frontend.all_finished:
             stuck = self.frontend.unfinished()
             # Attach the same diagnostics snapshot the max_events

@@ -26,7 +26,7 @@ import numpy as np
 from repro.config.address import CoordTable
 from repro.config.gpu import GPUConfig
 from repro.errors import WorkloadError
-from repro.gpu.warp import WarpOp, gc_paused
+from repro.gpu.warp import WarpOp
 from repro.workloads.layout import AddressSpace
 
 
@@ -140,8 +140,7 @@ class Workload(abc.ABC):
         cached = self._streams
         if cached is not None and cached[0] == config:
             return cached[1]
-        with gc_paused():
-            streams = self.warp_streams(config)
+        streams = self.warp_streams(config)
         self._streams = (config, streams)
         return streams
 
