@@ -1,9 +1,7 @@
 """DRAM timing tables and the independent command-stream validator.
 
 :class:`TimingTable` precomputes the per-bank timing constants the
-scheduler's hot path consumes — every parameter as a float, plus the
-derived sums the ready-time queries would otherwise re-derive on each
-candidate fold (CAS latencies, the activate-to-activate floor). The
+scheduler's hot path consumes, every parameter as a float. The
 :class:`~repro.config.timing.DRAMTimings` dataclass stays the single
 source of truth; the table is a flattened, simulation-ready view built
 once per channel.
@@ -59,8 +57,6 @@ class TimingTable:
     tCDLR: float
     tREFI: float
     tRFC: float
-    #: Read/write CAS latency pair indexed by ``is_write``.
-    cas: tuple[float, float]
 
     @classmethod
     def from_timings(cls, tm: DRAMTimings) -> "TimingTable":
@@ -79,7 +75,6 @@ class TimingTable:
             tCDLR=float(tm.tCDLR),
             tREFI=float(tm.tREFI),
             tRFC=float(tm.tRFC),
-            cas=(float(tm.tCL), float(tm.tCWL)),
         )
 
 

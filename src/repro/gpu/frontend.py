@@ -116,10 +116,7 @@ class GPUFrontend:
         warp.state = WarpState.COMPUTING
         # GPUConfig.core_to_mem, with the clock ratio hoisted.
         delay = op.compute_cycles / self._core_per_mem
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        engine = self._engine
-        engine.push(engine.now + delay, lambda: self._issue(warp, op))
+        self._engine.after(delay, lambda: self._issue(warp, op))
 
     def _issue(self, warp: Warp, op: WarpOp) -> None:
         rt = self._rt[warp.warp_id]
