@@ -144,4 +144,3 @@ class TestSMOversubscription:
             lambda a, w: None,
         )
         assert [w.sm_id for w in fe.warps] == [0, 1, 2, 3, 0, 1, 2, 3]
-
