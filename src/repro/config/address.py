@@ -20,9 +20,6 @@ The decode pipeline for a 128-byte request address is::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
 
 from repro.errors import ConfigError
 
@@ -39,8 +36,7 @@ class CoordTable(dict):
         self.mapping = mapping
 
     def __missing__(self, addr: int) -> Coords:
-        d = self.mapping.decode(addr)
-        coords = (d.channel, d.bank, d.bank_group, d.row, d.column)
+        coords = self.mapping.coords(addr)
         self[addr] = coords
         return coords
 
@@ -121,8 +117,9 @@ class AddressMapping:
             return bank_raw ^ (row & (self.banks_per_channel - 1))
         return bank_raw
 
-    def decode(self, addr: int) -> DecodedAddress:
-        """Decode a byte address into (channel, bank, bank group, row, column)."""
+    def coords(self, addr: int) -> Coords:
+        """:meth:`decode` as a plain ``(channel, bank, bank_group, row,
+        column)`` tuple, without the :class:`DecodedAddress`."""
         chunk, offset = divmod(addr, self.interleave_bytes)
         channel = chunk % self.num_channels
         local = (chunk // self.num_channels) * self.interleave_bytes + offset
@@ -130,48 +127,17 @@ class AddressMapping:
         bank_raw = row_blk % self.banks_per_channel
         row = row_blk // self.banks_per_channel
         bank = self._permute(bank_raw, row)
-        return DecodedAddress(
-            channel=channel,
-            bank=bank,
-            bank_group=self.bank_group_of(bank),
-            row=row,
-            column=in_row // self.access_bytes,
-        )
-
-    def decode_array(self, addrs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`decode` over an int64 array of byte addresses at once.
-
-        Returns the ``(channel, bank, bank_group, row, column)`` arrays,
-        element for element equal to the scalar decode.
-        """
-        chunk, offset = np.divmod(addrs, self.interleave_bytes)
-        channel = chunk % self.num_channels
-        local = (chunk // self.num_channels) * self.interleave_bytes + offset
-        row_blk, in_row = np.divmod(local, self.row_size_bytes)
-        bank = row_blk % self.banks_per_channel
-        row = row_blk // self.banks_per_channel
-        if self.scheme == "permuted":
-            bank ^= row & (self.banks_per_channel - 1)
         return (
             channel,
             bank,
-            bank // self.banks_per_group,
+            self.bank_group_of(bank),
             row,
             in_row // self.access_bytes,
         )
 
-    def decode_table(self, addrs: Iterable[int]) -> CoordTable:
-        """A :class:`CoordTable` holding every distinct address in
-        ``addrs``, decoded in one vectorized pass.
-
-        The simulator builds this once per trace, so no request pays a
-        :meth:`decode` call.
-        """
-        unique = np.unique(np.fromiter(addrs, dtype=np.int64))
-        columns = [part.tolist() for part in self.decode_array(unique)]
-        table = CoordTable(self)
-        table.update(zip(unique.tolist(), zip(*columns)))
-        return table
+    def decode(self, addr: int) -> DecodedAddress:
+        """Decode a byte address into (channel, bank, bank group, row, column)."""
+        return DecodedAddress(*self.coords(addr))
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (returns the lowest address of the access)."""

@@ -514,7 +514,6 @@ class Runner:
             workload.streams(system.config),
             workload_name=workload.name,
             stream_tenants=getattr(workload, "stream_tenants", None),
-            line_coords=workload.line_coords(system.config),
         )
         self.simulations_run += 1
         self._log(

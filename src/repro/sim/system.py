@@ -103,8 +103,7 @@ class GPUSystem:
             self.config.l2.hit_latency_core
         )
         self._line_bytes = self.config.l2.line_bytes
-        #: Line address -> DRAM coordinates; :meth:`run` installs the
-        #: trace's table, which decodes any address it lacks.
+        #: Line address -> DRAM coordinates, each decoded on first use.
         self._coords = CoordTable(mapping)
         #: ``next`` of the request-id stream, hoisted by :meth:`run`.
         self._next_rid: Callable[[], int] = None  # type: ignore[assignment]
@@ -339,25 +338,14 @@ class GPUSystem:
         workload_name: str = "custom",
         max_events: int = 200_000_000,
         stream_tenants: Optional[Sequence[int]] = None,
-        line_coords: Optional[CoordTable] = None,
     ) -> SimReport:
         """Execute the warp streams to completion and build the report.
 
         ``stream_tenants`` (one ``tenant_id`` per stream, from the
         :class:`~repro.workloads.tenant_mix.TenantMix` composer) turns
         on per-tenant warp attribution and the report's per-tenant
-        section; ``None`` is the single-tenant path. ``line_coords`` is
-        the trace's DRAM coordinate table
-        (:meth:`~repro.workloads.base.Workload.line_coords`, shared by a
-        matrix row's cells); without it each line is decoded on first
-        use.
+        section; ``None`` is the single-tenant path.
         """
-        if line_coords is not None:
-            if line_coords.mapping != self.config.mapping:
-                raise SimulationError(
-                    "line_coords was decoded for another address mapping"
-                )
-            self._coords = line_coords
         self._next_rid = request_id_stream().__next__
         self.frontend = GPUFrontend(
             self.engine, self.config, warp_streams, self._mem_access,
@@ -495,7 +483,6 @@ def simulate_spec(
         workload.streams(system.config),
         workload_name=workload.name,
         stream_tenants=getattr(workload, "stream_tenants", None),
-        line_coords=workload.line_coords(system.config),
     )
     if spec.measure_error:
         from repro.approx.replay import measure_application_error

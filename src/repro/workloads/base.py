@@ -9,8 +9,7 @@ providing
   programmer-annotated approximable arrays (paper Listing 1);
 * ``warp_streams()`` — the per-warp memory trace over those arrays
   (callers that may simulate one instance several times use
-  :meth:`Workload.streams`, which keeps the last trace, and
-  :meth:`Workload.line_coords`, the DRAM coordinates of its lines);
+  :meth:`Workload.streams`, which keeps the last trace);
 * ``run_kernel()`` — the real computation, used both for the reference
   output and for the approximation replay (dropped lines' values replaced
   by the VP's donor lines).
@@ -23,7 +22,6 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from repro.config.address import CoordTable
 from repro.config.gpu import GPUConfig
 from repro.errors import WorkloadError
 from repro.gpu.warp import WarpOp
@@ -63,8 +61,6 @@ class Workload(abc.ABC):
         self._exact: Optional[np.ndarray] = None
         #: (config, streams) of the last :meth:`streams` call.
         self._streams: Optional[tuple[GPUConfig, list[list[WarpOp]]]] = None
-        #: (streams, coordinate table) of the last :meth:`line_coords`.
-        self._coords: Optional[tuple[list, CoordTable]] = None
         self._build()
         if not self.arrays:
             raise WorkloadError(f"{self.name}: _build registered no arrays")
@@ -143,26 +139,6 @@ class Workload(abc.ABC):
         streams = self.warp_streams(config)
         self._streams = (config, streams)
         return streams
-
-    def line_coords(self, config: GPUConfig) -> CoordTable:
-        """DRAM coordinates of every line :meth:`streams` accesses for
-        ``config``, decoded once and kept with that trace.
-
-        The simulator looks a request's coordinates up here instead of
-        decoding its address (``GPUSystem.run(line_coords=...)``).
-        """
-        streams = self.streams(config)
-        cached = self._coords
-        if cached is not None and cached[0] is streams:
-            return cached[1]
-        table = config.mapping.decode_table(
-            access.addr
-            for ops in streams
-            for op in ops
-            for access in op.accesses
-        )
-        self._coords = (streams, table)
-        return table
 
     # ------------------------------------------------------------------
     # Output-quality pipeline

@@ -101,7 +101,15 @@ def dram_row_groups(
     addrs = np.arange(first_line, spec.end, space.line_bytes, dtype=np.int64)
     if addrs.size == 0:
         return []
-    channel, bank, _, row, _ = mapping.decode_array(addrs)
+    # AddressMapping.decode over the whole walk at once.
+    chunk, offset = np.divmod(addrs, mapping.interleave_bytes)
+    channel = chunk % mapping.num_channels
+    local = (chunk // mapping.num_channels) * mapping.interleave_bytes + offset
+    row_blk = local // mapping.row_size_bytes
+    bank = row_blk % mapping.banks_per_channel
+    row = row_blk // mapping.banks_per_channel
+    if mapping.scheme == "permuted":
+        bank ^= row & (mapping.banks_per_channel - 1)
     key = (row * mapping.num_channels + channel) \
         * mapping.banks_per_channel + bank
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import AddressMapping
-from repro.config.address import DecodedAddress
+from repro.config.address import CoordTable, DecodedAddress
 from repro.errors import ConfigError
 
 
@@ -68,18 +68,10 @@ class TestPermutedMapping:
     scheme=st.sampled_from(["bank_interleaved", "permuted"]),
     addrs=st.lists(st.integers(min_value=0, max_value=2**40), max_size=50),
 )
-def test_decode_table_matches_scalar_decode(scheme, addrs) -> None:
+def test_coord_table_decodes_each_address_on_lookup(scheme, addrs) -> None:
     mapping = AddressMapping(scheme=scheme)
-    table = mapping.decode_table(addrs)
-    assert len(table) == len(set(addrs))
+    table = CoordTable(mapping)
     for addr in addrs:
         d = mapping.decode(addr)
-        coords = (d.channel, d.bank, d.bank_group, d.row, d.column)
-        assert table[addr] == coords
-        assert all(type(c) is int for c in table[addr])
-    # An address the table lacks is decoded on lookup and kept.
-    missing = 2**41 + 384
-    d = mapping.decode(missing)
-    assert table[missing] == (d.channel, d.bank, d.bank_group, d.row, d.column)
-    assert missing in table
-
+        assert table[addr] == (d.channel, d.bank, d.bank_group, d.row, d.column)
+    assert sorted(table) == sorted(set(addrs))

@@ -124,44 +124,6 @@ class TestBasicExecution:
 
         assert once() == once()
 
-    def test_coordinate_table_leaves_the_report_unchanged(self) -> None:
-        """A run with the trace's decoded coordinate table reproduces the
-        run that decodes each line on first use, field for field —
-        including write-backs and an off-line-aligned address, which the
-        table lacks and decodes on lookup."""
-        from repro.dram.request import reset_request_ids
-
-        def warps():
-            streams = [
-                streaming_warp(sm * 8192, 40, compute=20.0, write=sm % 3 == 0)
-                for sm in range(12)
-            ]
-            streams.append(streaming_warp(64, 5, compute=20.0))
-            return streams
-
-        config = GPUConfig()
-        reset_request_ids()
-        plain = GPUSystem(config).run(warps(), workload_name="t")
-        streams = warps()
-        table = config.mapping.decode_table(
-            a.addr for ops in streams for op in ops for a in op.accesses
-        )
-        reset_request_ids()
-        tabled = GPUSystem(config).run(
-            streams, workload_name="t", line_coords=table
-        )
-        assert tabled.to_dict() == plain.to_dict()
-
-    def test_coordinate_table_of_another_mapping_rejected(self) -> None:
-        from repro.config import AddressMapping
-        from repro.errors import SimulationError
-
-        table = AddressMapping(scheme="permuted").decode_table([0, 128])
-        with pytest.raises(SimulationError):
-            GPUSystem().run(
-                [streaming_warp(0, 2)], workload_name="t", line_coords=table
-            )
-
 
 class TestClosedLoopDMS:
     def make_warps(self, n_warps: int, compute: float) -> list:
