@@ -3,8 +3,7 @@
 Each bank tracks its open row and the earliest legal times for the next
 activate, precharge, and column command. The channel model
 (:mod:`repro.dram.channel`) layers channel-wide constraints (tRRD, tCCD,
-data-bus occupancy) on top, and applies a column command's effect on
-these windows itself (``Channel.issue_column``, the hot path).
+data-bus occupancy) on top.
 """
 
 from __future__ import annotations
@@ -73,3 +72,21 @@ class Bank:
         limit = t + self.timings.tRP
         if limit > self.earliest_act:
             self.earliest_act = limit
+
+    def do_column(self, t: float, is_write: bool, data_end: float) -> None:
+        """Apply a RD/WR issued at ``t`` whose data burst ends at ``data_end``."""
+        tm = self.timings
+        self.accesses_this_activation += 1
+        if is_write:
+            # Write recovery gates PRE; tCDLR gates a following read.
+            limit = data_end + tm.tWR
+            if limit > self.earliest_pre:
+                self.earliest_pre = limit
+            limit = data_end + tm.tCDLR
+            if limit > self.earliest_col_rd:
+                self.earliest_col_rd = limit
+        else:
+            # Approximate read-to-precharge (tRTP) with the burst length.
+            limit = t + tm.tBURST
+            if limit > self.earliest_pre:
+                self.earliest_pre = limit

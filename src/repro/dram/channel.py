@@ -12,9 +12,9 @@ The memory controller's candidate selectors
 (:mod:`repro.sched.policies.selectors`) fold the same ready-time
 arithmetic inline over the channel's state, and the controller executes
 the chosen command through the mutators. :meth:`Channel.issue_column`,
-the most frequent command, likewise inlines its ready time and the
-bank's column update as ``<`` steps in the order ``max`` took them, so
-every time is bit-equal to the expression form.
+the most frequent command, likewise inlines its ready time as ``<``
+steps in the order ``max`` took them, so every time is bit-equal to the
+expression form.
 """
 
 from __future__ import annotations
@@ -144,21 +144,7 @@ class Channel:
         group_col[group] = t + tb.tCCD
         self._bus_free = data_end
         self._next_cmd_time = t + 1
-        # The bank's side of the command (recovery windows, RBL count).
-        bank.accesses_this_activation += 1
-        if is_write:
-            # Write recovery gates PRE; tCDLR gates a following read.
-            limit = data_end + tb.tWR
-            if limit > bank.earliest_pre:
-                bank.earliest_pre = limit
-            limit = data_end + tb.tCDLR
-            if limit > bank.earliest_col_rd:
-                bank.earliest_col_rd = limit
-        else:
-            # Approximate read-to-precharge (tRTP) with the burst length.
-            limit = t + tb.tBURST
-            if limit > bank.earliest_pre:
-                bank.earliest_pre = limit
+        bank.do_column(t, is_write, data_end)
         self.stats.on_column(bank.index, is_write)
         self.stats.bus_busy += data_end - data_start
         self.bus.add(data_start, data_end)
