@@ -91,6 +91,16 @@ class CandidateSelector(ABC):
         bus, last ACT) are rebound per issue and are re-read inside each
         ``select`` call instead.
         """
+        # ``select`` folds the gate inline, as ``enqueue_time +
+        # current_delay`` (or not at all when disabled): hold the bound
+        # gate to that rule once here.
+        probe = 1.0
+        expected = probe + gate.current_delay if gate.enabled else probe
+        if gate.earliest_eligible(probe) != expected:
+            raise ConfigError(
+                f"gate {type(gate).__name__}: earliest_eligible(t) must be "
+                "t + current_delay when enabled and t when disabled"
+            )
         self._channel = channel
         self._banks = channel.banks
         self._gate = gate
@@ -176,9 +186,10 @@ class ActivationGate(ABC):
         """Earliest time a row-opening request enqueued at
         ``enqueue_time`` may be considered for scheduling.
 
-        For an enabled gate this must be ``enqueue_time +
-        current_delay``: the selectors fold that sum inline, reading
-        :attr:`current_delay` once per call.
+        This must be ``enqueue_time + current_delay`` for an enabled
+        gate and ``enqueue_time`` for a disabled one: the selectors fold
+        that sum inline, reading :attr:`current_delay` once per call, and
+        :meth:`CandidateSelector.bind` rejects a gate that breaks it.
         """
 
     def on_window(self, bwutil: float) -> None:

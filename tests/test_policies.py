@@ -81,6 +81,31 @@ class TestRegistries:
         assert not gate.wants_ams_halted
         assert gate.earliest_eligible(17.5) == 17.5
 
+    def test_bind_rejects_gate_that_is_not_additive(self) -> None:
+        from repro.config import AddressMapping, gddr5_timings
+        from repro.dram import Channel
+        from repro.sched.pending_queue import PendingQueue
+
+        class Quantized(NullGate):
+            """Enabled, but rounds eligibility up to a 64-cycle grid."""
+
+            @property
+            def enabled(self) -> bool:
+                return True
+
+            def earliest_eligible(self, enqueue_time: float) -> float:
+                return -(-enqueue_time // 64) * 64
+
+        channel = Channel(0, AddressMapping(), gddr5_timings())
+        queue = PendingQueue(8, 16)
+        selector = make_selector("frfcfs", SchedulerConfig())
+        selector.bind(queue=queue, channel=channel, gate=NullGate())
+        selector.bind(
+            queue=queue, channel=channel, gate=make_gate("dms", DMSConfig())
+        )
+        with pytest.raises(ConfigError, match="earliest_eligible"):
+            selector.bind(queue=queue, channel=channel, gate=Quantized())
+
     def test_null_drop_policy_never_drops(self) -> None:
         policy = make_drop_policy("none", AMSConfig())
         assert isinstance(policy, NullDropPolicy)
