@@ -14,7 +14,8 @@ of :mod:`repro.dram.channel` is inlined against the structures ``bind``
 hoisted: bank slots, the per-bank request FIFOs and row dicts, the
 bank-group column windows, the :class:`~repro.dram.timing.TimingTable`
 floats, and the gate, whose delay is read once per call (an enabled
-gate's ``earliest_eligible(t)`` is ``t + current_delay``). The
+gate's ``earliest_eligible(t)`` is ``t + current_delay``, checked by
+``bind``). The
 arithmetic mirrors ``Channel.issue_column`` / ``precharge_ready_time``
 / ``activate_ready_time`` step for step (the golden differential suite
 pins the reports bit-identical), and the per-bank buckets are non-empty
